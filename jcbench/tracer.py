@@ -109,7 +109,6 @@ class Tracer:
                     tracer.broken.add(name)
             return result
 
-        wrapper.__wrapped__ = fn
         return wrapper
 
     def install(self):
