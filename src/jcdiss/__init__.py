@@ -67,6 +67,7 @@ from .observables import (
     PhaseGrid,
     concurrence,
     field_entropy,
+    field_moments,
     ground_population,
     husimi_q,
     inversion,

@@ -21,7 +21,6 @@ mismatch.
 """
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -56,8 +55,7 @@ from .observables import (
     OBSERVABLES,
     HusimiGridSpec,
     husimi_q,
-    p_var,
-    q_var,
+    quadrature_variances,
 )
 from .propagate import (
     SingleExcitationAmplitudes,
@@ -483,9 +481,13 @@ class _StateAudit:
         self.uncertainty_product_min = np.inf
 
     def inspect(self, rho):
-        evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        self.min_eigenvalue = min(self.min_eigenvalue, float(evals[0]))
-        product = q_var(rho, self.spec) * p_var(rho, self.spec)
+        """Fold a state, or a stack of states (..., dim, dim), into the
+        smallest eigenvalue and quadrature uncertainty product seen."""
+        rho = np.asarray(rho)
+        evals = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho, -2, -1).conj()))
+        self.min_eigenvalue = min(self.min_eigenvalue, float(evals[..., 0].min()))
+        q_var, p_var = quadrature_variances(rho, self.spec)
+        product = float(np.min(q_var * p_var))
         self.uncertainty_product_min = min(self.uncertainty_product_min, product)
 
 
@@ -517,10 +519,10 @@ def _evolve_series(liouvillian, state, times, names, config):
         values = {name: np.empty(times.size) for name in names}
         audit = _StateAudit(spec)
 
-        def observer(i, t, rho):
+        def observer(i0, tc, stack):
             for name in names:
-                values[name][i] = OBSERVABLES[name](rho, spec)
-            audit.inspect(rho)
+                values[name][i0 : i0 + tc.size] = OBSERVABLES[name](stack, spec)
+            audit.inspect(stack)
 
         result = evolve(
             liouvillian, state, times, method=method, dt=config.dt,
@@ -555,9 +557,10 @@ def _husimi_snapshots(liouvillian, state, config, out_dir, tag):
     audit = _StateAudit(spec)
     snapshots = []
 
-    def observer(i, t, rho):
-        audit.inspect(rho)
-        snapshots.append((i, t, husimi_q(rho, spec, grid)))
+    def observer(i0, tc, stack):
+        audit.inspect(stack)
+        for k, (t, rho) in enumerate(zip(tc, stack)):
+            snapshots.append((i0 + k, t, husimi_q(rho, spec, grid)))
 
     fallback = False
     try:
@@ -636,17 +639,6 @@ def _run_evolve_job(config, tag, params, spec, times, out_dir, with_husimi):
     return files, entry
 
 
-def _fan_out(jobs, worker):
-    """Independent jobs in a thread pool; results keep the job order."""
-    if len(jobs) == 1:
-        return [worker(jobs[0])]
-    workers = min(len(jobs), os.cpu_count() or 1)
-    if workers == 1:
-        return [worker(job) for job in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def _base_manifest(config, n_max, command):
     return {
         "command": command,
@@ -678,13 +670,10 @@ def run_scenario(config, out_dir=None, method=None, dt=None, n_max=None,
     out = config.output
     os.makedirs(out, exist_ok=True)
 
-    jobs = _jobs(config)
-    results = _fan_out(
-        jobs,
-        lambda job: _run_evolve_job(
-            config, job[0], job[1], spec, times, out, with_husimi
-        ),
-    )
+    results = [
+        _run_evolve_job(config, tag, params, spec, times, out, with_husimi)
+        for tag, params in _jobs(config)
+    ]
 
     manifest = _base_manifest(config, resolved_n_max, "evolve")
     manifest["jobs"] = []
@@ -757,7 +746,7 @@ def run_steady(config, out_dir=None, method=None, dt=None, n_max=None):
         entry["files"] = sorted(files)
         return files, entry
 
-    results = _fan_out(_jobs(config), worker)
+    results = [worker(job) for job in _jobs(config)]
     manifest = _base_manifest(config, resolved_n_max, "steady")
     manifest["jobs"] = [entry for _, entry in results]
     manifest["files"] = sorted(name for files, _ in results for name in files)
@@ -795,7 +784,7 @@ def run_husimi(config, out_dir=None, method=None, dt=None, n_max=None):
         entry["files"] = sorted(files)
         return files, entry
 
-    results = _fan_out(_jobs(config), worker)
+    results = [worker(job) for job in _jobs(config)]
     manifest = _base_manifest(config, resolved_n_max, "husimi")
     manifest["jobs"] = [entry for _, entry in results]
     manifest["files"] = sorted(name for files, _ in results for name in files)

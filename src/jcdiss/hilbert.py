@@ -73,6 +73,15 @@ def check_operator_shape(op, spec):
     return op
 
 
+def check_operator_stack(op, spec):
+    """Like check_operator_shape, for one operator or a stack (..., d, d)."""
+    op = np.asarray(op)
+    d = spec.dim_total
+    if op.ndim < 2 or op.shape[-2:] != (d, d):
+        raise DimensionError(f"operator shape {op.shape} != (..., {d}, {d})")
+    return op
+
+
 def check_state_shape(psi, spec):
     psi = np.asarray(psi)
     if psi.shape != (spec.dim_total,):
@@ -188,10 +197,11 @@ def density_matrix(psi):
 
 
 def partial_trace_qubit(rho, spec):
-    """Trace out the qubit; returns the reduced field matrix (dim_field)."""
-    rho = check_operator_shape(rho, spec)
+    """Trace out the qubit; returns the reduced field matrix (dim_field),
+    or a stack of them for a stack of states (..., dim, dim)."""
+    rho = check_operator_stack(rho, spec)
     f = spec.dim_field
-    return np.einsum("msns->mn", rho.reshape(f, 2, f, 2))
+    return np.einsum("...msns->...mn", rho.reshape(rho.shape[:-2] + (f, 2, f, 2)))
 
 
 def partial_trace_field(rho, spec):

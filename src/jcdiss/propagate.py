@@ -5,8 +5,9 @@ they can cross-check each other:
 
 * spectral: eigendecompose the vectorized generator once (block by block,
   exploiting conservation of the excitation-number difference between bra
-  and ket indices) and evaluate rho(t) = V exp(w t) V^-1 vec(rho0) at any
-  set of times, and
+  and ket indices), expand the initial state over the eigenvectors once
+  per run, and evaluate rho(t) = V exp(w t) V^-1 vec(rho0) at any set of
+  times, a stack of states at a time, and
 * rk4: classical fixed-step fourth-order integration of the structured
   generator, by default in the frame rotating at the cavity frequency
   where the step-size requirement is set by the coupling and detuning
@@ -82,27 +83,28 @@ class EvolutionResult:
 
 AMPLIFICATION_LIMIT = 1e10
 
+# byte budget of one stack of states evaluated and checked together
+STACK_BYTES = 8 << 20
+# propagate_vec evaluates times in whole groups of this many columns
+_TIME_GROUP = 8
+
 
 @dataclass
 class SpectralDecomposition:
     """Blockwise eigendecomposition of a vectorized Lindblad generator.
 
     blocks is a list of (indices, eigenvalues, V, lu) with lu the LU
-    factorization of V for solving mode amplitudes. cond records the
-    largest raw eigenvector-matrix condition number across blocks; it is
-    diagnostic only, since the quantity that actually bounds propagation
-    error is the per-state mode amplification checked in propagate_vec.
+    factorization of V for solving mode amplitudes.
     """
 
     dim: int
     blocks: list
-    cond: float
 
     def eigenvalues(self):
         return np.concatenate([w for (_, w, _, _) in self.blocks])
 
-    def propagate_vec(self, v0, times, amplification_limit=AMPLIFICATION_LIMIT):
-        """Matrix of vec(rho(t)) columns, shape (dim^2, len(times)).
+    def expand(self, v0, amplification_limit=AMPLIFICATION_LIMIT):
+        """Mode amplitudes of v0 over the blocks it touches.
 
         The expansion of v0 over each block's eigenvectors is required to
         be numerically benign: if sum_k |V||c| exceeds amplification_limit
@@ -111,9 +113,13 @@ class SpectralDecomposition:
         instead. This is the operative form of the "numerically
         diagonalizable" precondition: a near-Jordan structure shows up as
         a divergent coefficient vector for generic states.
+
+        Blocks of equal size are stacked so that propagate_vec handles
+        each size in one batched step: the result is a list of
+        (indices, eigenvalues, V, c) with shapes (m, n), (m, n),
+        (m, n, n) and (m, n) for m blocks of size n.
         """
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((self.dim * self.dim, times.size), dtype=complex)
+        groups = {}
         norm0 = np.linalg.norm(v0)
         for idx, w, vmat, lu in self.blocks:
             vb = v0[idx]
@@ -128,9 +134,27 @@ class SpectralDecomposition:
                     f"{idx.size}: near-degenerate Jordan structure; "
                     "fall back to the rk4 integrator"
                 )
-            modes = coef[:, None] * np.exp(np.multiply.outer(w, times))
-            out[idx, :] = vmat @ modes
-        return out
+            groups.setdefault(idx.size, []).append((idx, w, vmat, coef))
+        return [tuple(np.stack(part) for part in zip(*terms)) for terms in groups.values()]
+
+    def propagate_vec(self, expansion, times):
+        """States rho(t) = sum_b V_b (c_b e^{w_b t}) of an expansion, as a
+        stack of shape (len(times), dim, dim).
+
+        The times are padded to a whole number of groups of _TIME_GROUP
+        so that BLAS evaluates every state on its full-width kernels: a
+        state comes out bit-identical whatever chunk it was computed in.
+        """
+        times = np.asarray(times, dtype=float)
+        k = times.size
+        padded = np.resize(times, -(-k // _TIME_GROUP) * _TIME_GROUP)
+        out = np.zeros((self.dim * self.dim, padded.size), dtype=complex)
+        for idx, w, vmat, coef in expansion:
+            modes = coef[..., None] * np.exp(w[..., None] * padded)
+            out[idx] = vmat @ modes
+        # column-stacked vec: row r + c*dim of out is rho[r, c]
+        stack = out.reshape(self.dim, self.dim, padded.size).transpose(2, 1, 0)
+        return np.ascontiguousarray(stack[:k])
 
 
 def spectral_decomposition(liouvillian):
@@ -148,29 +172,68 @@ def spectral_decomposition(liouvillian):
     pattern = (abs(lmat) + abs(lmat.T)).astype(bool)
     n_comp, labels = csgraph.connected_components(pattern, directed=False)
     blocks = []
-    cond_max = 1.0
     for comp in range(n_comp):
         idx = np.nonzero(labels == comp)[0]
         sub = lmat[np.ix_(idx, idx)].toarray()
         w, vmat = sla.eig(sub)
-        cond_max = max(cond_max, float(np.linalg.cond(vmat)))
         lu = sla.lu_factor(vmat)
         blocks.append((idx, w, vmat, lu))
-    decomp = SpectralDecomposition(dim=liouvillian.dim, blocks=blocks, cond=cond_max)
+    decomp = SpectralDecomposition(dim=liouvillian.dim, blocks=blocks)
     liouvillian._decomp = decomp
     return decomp
 
 
-def _top_population(rho, spec):
-    n = spec.n_max
-    pop = 0.0
-    for level in (n, n - 1):
-        if level < 0:
-            continue
-        for s in (QUBIT_G, QUBIT_E):
-            k = spec.index(level, s)
-            pop += rho[k, k].real
-    return pop
+def _top_indices(spec):
+    """Basis indices of the top two Fock levels, in summation order."""
+    return [
+        spec.index(level, s)
+        for level in (spec.n_max, spec.n_max - 1)
+        for s in (QUBIT_G, QUBIT_E)
+    ]
+
+
+class _StackGuards:
+    """Trace drift, Hermiticity defect and top-of-ladder population of
+    stacks of states, with the running maxima evolve reports."""
+
+    def __init__(self, spec, truncation_guard, truncation_tol):
+        self.top_idx = _top_indices(spec)
+        self.truncation_guard = truncation_guard
+        self.truncation_tol = truncation_tol
+        self.drift_max = 0.0
+        self.herm_max = 0.0
+        self.top_max = 0.0
+
+    def drift(self, stack):
+        """Per-state trace drift |Re tr - 1| + |Im tr| and Hermiticity
+        defect, folded into the running maxima."""
+        tr = np.trace(stack, axis1=1, axis2=2)
+        drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        self.drift_max = max(self.drift_max, float(drift.max()))
+        self.herm_max = max(self.herm_max, float(herm.max()))
+        return drift, herm
+
+    def truncation(self, stack, tc):
+        """Raise TruncationError at the first time whose top two Fock
+        levels hold more than the tolerance."""
+        top = stack[:, self.top_idx, self.top_idx].real.sum(axis=1)
+        if self.truncation_guard:
+            bad = np.flatnonzero(top > self.truncation_tol)
+            if bad.size:
+                k = bad[0]
+                raise TruncationError(
+                    f"top two Fock levels hold {top[k]:.3e} population at "
+                    f"t={tc[k]:.6g}; raise n_max (tolerance {self.truncation_tol:.1e})"
+                )
+        self.top_max = max(self.top_max, float(top.max()))
+
+    def diagnostics(self):
+        return {
+            "trace_drift_max": self.drift_max,
+            "herm_defect_max": self.herm_max,
+            "top_population_max": self.top_max,
+        }
 
 
 def evolve(
@@ -184,16 +247,20 @@ def evolve(
     store_states: Optional[bool] = None,
     truncation_guard=True,
     truncation_tol=1e-6,
-    chunk=512,
+    chunk=None,
     backend=None,
 ):
     """Propagate a state through the generator and sample it at times.
 
-    observer(i, t, rho) is called at each requested time in order; states
-    are additionally stored unless an observer is given and store_states
-    is not forced. method is "spectral" or "rk4"; dt and frame apply to
-    rk4 only. The truncation guard aborts the run if the top two Fock
-    levels ever hold more than truncation_tol of the population.
+    observer(i0, t_chunk, rho_stack) is called on consecutive chunks of
+    the requested times in order: rho_stack[k] is the state at
+    t_chunk[k], the (i0 + k)-th output time. The spectral route makes
+    chunks of `chunk` states (by default as many as fit in STACK_BYTES);
+    the rk4 route hands out one state at a time. States are additionally
+    stored unless an observer is given and store_states is not forced.
+    method is "spectral" or "rk4"; dt and frame apply to rk4 only. The
+    truncation guard aborts the run if the top two Fock levels ever hold
+    more than truncation_tol of the population.
     """
     times = _check_times(times)
     rho0 = _as_density(state, liouvillian.dim)
@@ -214,46 +281,35 @@ def evolve(
 
 def evolve_spectral(
     liouvillian, rho0, times, observer=None, store_states=True,
-    truncation_guard=True, truncation_tol=1e-6, chunk=512,
+    truncation_guard=True, truncation_tol=1e-6, chunk=None,
 ):
     """Spectral propagation at arbitrary times; states are exact up to the
-    conditioning of the eigenbasis (reported in diagnostics)."""
+    conditioning of the eigenbasis, which the amplification gate of
+    SpectralDecomposition.expand bounds once per run."""
     decomp = spectral_decomposition(liouvillian)
     dim = liouvillian.dim
-    spec = liouvillian.spec
-    v0 = vec(rho0)
+    if chunk is None:
+        # whole time groups, so that only the last chunk is padded
+        per_state = 16 * dim * dim
+        chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
+    expansion = decomp.expand(vec(rho0))
+    guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
     states = np.empty((times.size, dim, dim), dtype=complex) if store_states else None
-    drift_max = 0.0
-    herm_max = 0.0
-    top_max = 0.0
     for start in range(0, times.size, chunk):
         tc = times[start : start + chunk]
-        cols = decomp.propagate_vec(v0, tc)
-        for k in range(tc.size):
-            rho = unvec(cols[:, k], dim)
-            drift_max = max(drift_max, abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag))
-            herm_max = max(herm_max, hermiticity_defect(rho))
-            top = _top_population(rho, spec)
-            top_max = max(top_max, top)
-            if truncation_guard and top > truncation_tol:
-                raise TruncationError(
-                    f"top two Fock levels hold {top:.3e} population at t={tc[k]:.6g}; "
-                    f"raise n_max (tolerance {truncation_tol:.1e})"
-                )
-            i = start + k
-            if states is not None:
-                states[i] = rho
-            if observer is not None:
-                observer(i, tc[k], rho)
+        stack = decomp.propagate_vec(expansion, tc)
+        guards.drift(stack)
+        guards.truncation(stack, tc)
+        if states is not None:
+            states[start : start + tc.size] = stack
+        if observer is not None:
+            observer(start, tc, stack)
     return EvolutionResult(
         times=times,
         states=states,
         method="spectral",
         diagnostics={
-            "trace_drift_max": drift_max,
-            "herm_defect_max": herm_max,
-            "top_population_max": top_max,
-            "cond": decomp.cond,
+            **guards.diagnostics(),
             "dt": None,
             "frame": "lab",
             "backend": "eig",
@@ -290,7 +346,8 @@ def evolve_rk4(
     Between consecutive outputs the interval is split into equal steps no
     longer than dt. At each output the raw trace and hermiticity drifts
     are checked against 1e-7 (DriftError beyond that) and recorded, then
-    the state is resymmetrized and renormalized before being handed out.
+    the state is resymmetrized and renormalized before being handed out
+    to the observer as a stack of one.
     """
     if frame not in ("rotating", "lab"):
         raise ParameterError(f"unknown frame {frame!r}")
@@ -307,11 +364,8 @@ def evolve_rk4(
                 f"dt = {dt:.3e} exceeds the stability cap {dt_cap:.3e} for this frame"
             )
     dim = liouvillian.dim
-    spec = liouvillian.spec
+    guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
     states = np.empty((times.size, dim, dim), dtype=complex) if store_states else None
-    drift_max = 0.0
-    herm_max = 0.0
-    top_max = 0.0
     steps_total = 0
 
     # integrate in the chosen frame; outputs are unwound to the lab frame
@@ -328,45 +382,32 @@ def evolve_rk4(
             steps_total += n
             t_prev = t
 
-        tr = np.trace(rho)
-        drift = abs(tr.real - 1.0) + abs(tr.imag)
-        herm = hermiticity_defect(rho)
-        if drift > 1e-7:
+        drift, herm = guards.drift(rho[None])
+        if drift[0] > 1e-7:
             raise DriftError(
-                f"trace drifted by {drift:.3e} at t={t:.6g}; reduce dt"
+                f"trace drifted by {drift[0]:.3e} at t={t:.6g}; reduce dt"
             )
-        if herm > 1e-7:
+        if herm[0] > 1e-7:
             raise DriftError(
-                f"hermiticity defect {herm:.3e} at t={t:.6g}; reduce dt"
+                f"hermiticity defect {herm[0]:.3e} at t={t:.6g}; reduce dt"
             )
-        drift_max = max(drift_max, drift)
-        herm_max = max(herm_max, herm)
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
 
         ph = _kernels.frame_phases(kdata, t)
-        rho_lab = (ph[:, None] * rho) * ph.conj()[None, :]
-        top = _top_population(rho_lab, spec)
-        top_max = max(top_max, top)
-        if truncation_guard and top > truncation_tol:
-            raise TruncationError(
-                f"top two Fock levels hold {top:.3e} population at t={t:.6g}; "
-                f"raise n_max (tolerance {truncation_tol:.1e})"
-            )
+        rho_lab = ((ph[:, None] * rho) * ph.conj()[None, :])[None]
+        guards.truncation(rho_lab, times[i : i + 1])
         if states is not None:
-            states[i] = rho_lab
+            states[i] = rho_lab[0]
         if observer is not None:
-            observer(i, t, rho_lab)
+            observer(i, times[i : i + 1], rho_lab)
 
     return EvolutionResult(
         times=times,
         states=states,
         method="rk4",
         diagnostics={
-            "trace_drift_max": drift_max,
-            "herm_defect_max": herm_max,
-            "top_population_max": top_max,
-            "cond": None,
+            **guards.diagnostics(),
             "dt": dt,
             "frame": frame,
             "steps_total": steps_total,

@@ -133,8 +133,8 @@ def test_criterion_03_purity_minimum_landmark():
     times = np.linspace(0.0, 12.0, 2401)
     values = np.empty(times.size)
 
-    def observer(i, t, rho):
-        values[i] = purity(rho, spec)
+    def observer(i0, tc, stack):
+        values[i0 : i0 + tc.size] = purity(stack, spec)
 
     evolve(liouvillian, psi0, times, observer=observer)
     i_min = int(np.argmin(values))
@@ -242,8 +242,8 @@ def _inversion_series(gamma, times, n_max=29):
     psi0 = coherent_state(np.sqrt(5.0), QUBIT_G, spec)
     values = np.empty(times.size)
 
-    def observer(i, t, rho):
-        values[i] = inversion(rho, spec)
+    def observer(i0, tc, stack):
+        values[i0 : i0 + tc.size] = inversion(stack, spec)
 
     evolve(liouvillian, psi0, times, observer=observer)
     return values
@@ -372,9 +372,9 @@ def _radial_reversals(kind, times, spec, params, psi0):
     ps = np.empty(times.size)
     liouvillian = build_liouvillian(kind, params, spec)
 
-    def observer(i, t, rho):
-        qs[i] = q_mean(rho, spec)
-        ps[i] = p_mean(rho, spec)
+    def observer(i0, tc, stack):
+        qs[i0 : i0 + tc.size] = q_mean(stack, spec)
+        ps[i0 : i0 + tc.size] = p_mean(stack, spec)
 
     evolve(liouvillian, psi0, times, observer=observer)
     r = np.hypot(qs, ps)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from jcdiss.errors import DomainError, SubspaceLeakError
+from jcdiss.errors import DimensionError, DomainError, SubspaceLeakError
 from jcdiss.hilbert import (
     QUBIT_E,
     QUBIT_G,
     SpaceSpec,
+    build_annihilation,
     coherent_state,
     density_matrix,
     fock_state,
@@ -21,6 +22,7 @@ from jcdiss.observables import (
     HusimiGridSpec,
     concurrence,
     field_entropy,
+    field_moments,
     ground_population,
     husimi_q,
     inversion,
@@ -161,6 +163,49 @@ def test_uncertainty_product_bound_on_random_states():
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
         assert q_var(rho, spec) * p_var(rho, spec) >= 1.0 / 16.0 - 1e-12
+
+
+def _random_states(rng, spec, count, support=None):
+    """Random full-rank density matrices on the first `support` basis
+    states (all of them by default)."""
+    d = spec.dim_total
+    m = support or d
+    g = rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m))
+    states = np.zeros((count, d, d), dtype=complex)
+    states[:, :m, :m] = g @ np.swapaxes(g, -2, -1).conj()
+    return states / np.trace(states, axis1=1, axis2=2).real[:, None, None]
+
+
+def test_observables_on_a_stack_equal_the_per_state_values():
+    rng = np.random.default_rng(31)
+    spec = SpaceSpec(5)
+    d = spec.dim_total
+    full = _random_states(rng, spec, 6)
+    # concurrence needs states inside the one-photon subspace
+    low = _random_states(rng, spec, 6, support=4)
+    for name, fn in OBSERVABLES.items():
+        stack = low if name == "concurrence" else full
+        per_state = [fn(rho, spec) for rho in stack]
+        assert all(isinstance(value, float) for value in per_state), name
+        values = fn(stack, spec)
+        assert values.shape == (6,), name
+        assert np.array_equal(values, per_state), name
+        grid = fn(stack.reshape(2, 3, d, d), spec)
+        assert np.array_equal(grid, np.reshape(per_state, (2, 3))), name
+
+
+def test_field_moments_match_dense_traces():
+    rng = np.random.default_rng(37)
+    spec = SpaceSpec(7)
+    states = _random_states(rng, spec, 5)
+    a = build_annihilation(spec)
+    ea, ea2, en = field_moments(states, spec)
+    for k, rho in enumerate(states):
+        assert abs(ea[k] - np.trace(a @ rho)) < 1e-13
+        assert abs(ea2[k] - np.trace(a @ a @ rho)) < 1e-13
+        assert abs(en[k] - np.trace(a.conj().T @ a @ rho).real) < 1e-13
+    with pytest.raises(DimensionError):
+        field_moments(states[:, :-1, :-1], spec)
 
 
 def test_revival_time_estimate():

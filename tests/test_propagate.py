@@ -18,6 +18,7 @@ from jcdiss.hilbert import (
     QUBIT_E,
     QUBIT_G,
     SpaceSpec,
+    coherent_state,
     density_matrix,
     fock_state,
     partial_trace_qubit,
@@ -25,6 +26,7 @@ from jcdiss.hilbert import (
 )
 from jcdiss.dressed import SystemParams, dressed_spectrum, dressed_vector
 from jcdiss.lindblad import Liouvillian, build_liouvillian
+from jcdiss.observables import inversion
 from jcdiss.propagate import (
     SingleExcitationAmplitudes,
     analytic_microscopic,
@@ -163,7 +165,71 @@ def test_spectral_rejects_defective_generator():
         decomp = spectral_decomposition(fake)
         v0 = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
         with pytest.raises(DefectiveLiouvillianError), np.errstate(all="ignore"):
-            decomp.propagate_vec(v0, np.array([0.0, 1.0]))
+            decomp.expand(v0)
+
+
+def test_defective_expansion_raises_before_any_observer_call():
+    # rho[0, 0] fed by rho[1, 1] (vec indices 0 and 5) is a Jordan cell
+    spec = SpaceSpec(1)
+    d = spec.dim_total
+    matrix = sp.lil_matrix((d * d, d * d), dtype=complex)
+    matrix[0, 5] = 1.0
+    fake = types.SimpleNamespace(matrix=matrix.tocsr(), dim=d, spec=spec, _decomp=None)
+    rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DefectiveLiouvillianError), np.errstate(all="ignore"):
+            evolve(fake, rho0, np.linspace(0.0, 1.0, 5),
+                   observer=lambda *args: calls.append(args))
+    assert calls == []
+
+
+def _observed(liouvillian, psi0, times, chunk, **kwargs):
+    """Concatenated observer stacks, checking that chunks arrive in order."""
+    stacks = []
+
+    def observer(i0, tc, stack):
+        assert i0 == sum(len(part) for part in stacks)
+        assert np.array_equal(tc, times[i0 : i0 + tc.size])
+        assert stack.shape == (tc.size,) + psi0.shape * 2
+        stacks.append(stack.copy())
+
+    result = evolve(liouvillian, psi0, times, observer=observer, chunk=chunk, **kwargs)
+    return np.concatenate(stacks), result.diagnostics
+
+
+@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
+def test_chunk_size_does_not_change_the_observed_series(kind):
+    spec = SpaceSpec(8)
+    liouvillian = build_liouvillian(kind, _params(delta=1.0, nbar=0.1), spec)
+    psi0 = coherent_state(0.5, QUBIT_E, spec)
+    times = np.linspace(0.0, 10.0, 37)
+    ref_states, ref_diag = _observed(liouvillian, psi0, times, None)
+    assert ref_states.shape[0] == times.size
+    for chunk in (1, 3):
+        states, diag = _observed(liouvillian, psi0, times, chunk)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(inversion(states, spec), inversion(ref_states, spec))
+        assert diag == ref_diag
+
+
+def test_truncation_error_names_the_first_time_whatever_the_chunk():
+    spec = SpaceSpec(4)
+    liouvillian = build_liouvillian("microscopic", _params(nbar=2.0), spec)
+    psi0 = fock_state(1, QUBIT_E, spec)
+    times = np.linspace(0.0, 1.0, 41)
+    free = evolve(liouvillian, psi0, times, truncation_guard=False)
+    top = [spec.index(n, s) for n in (4, 3) for s in (QUBIT_G, QUBIT_E)]
+    first = int(np.argmax(free.states[:, top, top].real.sum(axis=1) > 1e-6))
+    assert first > 0
+    messages = set()
+    for chunk in (1, 3, 8, None):
+        with pytest.raises(TruncationError) as info:
+            evolve(liouvillian, psi0, times, observer=lambda *args: None, chunk=chunk)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert f"t={times[first]:.6g};" in messages.pop()
 
 
 def test_truncation_guard():
@@ -185,13 +251,13 @@ def test_observer_streaming_skips_state_storage():
     times = np.linspace(0.0, 2.0, 7)
     seen = []
     result = evolve(
-        liouvillian, psi0, times, observer=lambda i, t, rho: seen.append(t)
+        liouvillian, psi0, times, observer=lambda i0, tc, stack: seen.extend(tc)
     )
     assert result.states is None
     assert seen == list(times)
     kept = evolve(
         liouvillian, psi0, times,
-        observer=lambda i, t, rho: None, store_states=True,
+        observer=lambda i0, tc, stack: None, store_states=True,
     )
     assert kept.states.shape == (7, spec.dim_total, spec.dim_total)
 
