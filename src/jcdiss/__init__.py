@@ -2,9 +2,9 @@
 damping models.
 
 The package builds both Lindblad generators on a truncated qubit-cavity
-space, propagates them spectrally or by fixed-step RK4 (compiled kernel
-with a pure-numpy fallback), and provides closed-form single-excitation
-solutions plus the observables needed to compare the two damping models.
+space, propagates them spectrally or by fixed-step RK4 on the same sparse
+superoperator, and provides closed-form single-excitation solutions plus
+the observables needed to compare the two damping models.
 """
 
 from .errors import (

@@ -1,267 +1,49 @@
-"""Fixed-step RK4 integration kernels for Lindblad generators.
+"""Fixed-step RK4 integration of a Lindblad generator.
 
-The generator is split into an effective non-Hermitian Hamiltonian part,
-
-    H_eff = H - (i/2) sum_k r_k J_k^dag J_k,
-
-applied two-sided from a CSR representation (every generator built here
-has only a handful of nonzeros per row), plus a "feed" part
-
-    sum_k r_k J_k rho J_k^dag
-
-expanded into a flat list of scalar edges out[i,j] += w * rho[k,l]. Both
-parts are exact; the split is purely a data layout for fast inner loops.
-
-Two interchangeable backends evaluate the same edge data: a compiled
-one (numba, the default when importable) and a vectorized numpy one.
-Setting the environment variable JCDISS_PURE_NUMPY=1 forces the numpy
-backend.
-
-Integration can run in the frame rotating at the cavity frequency
+Integration runs in the frame rotating at the cavity frequency
 (generated by omega * N with N the total excitation operator). Every
 jump operator used here shifts the excitation number by exactly +/-1, so
 the rotating-frame generator is again Lindblad with H replaced by
 H - omega N and the jumps unchanged; the transform is exact, not an
 approximation. It removes the fast optical phases, which is what makes
 tight step-size targets affordable at large photon number.
-"""
 
-import os
-from dataclasses import dataclass
+On the column-stacked vec(rho) the frame change only adds the diagonal
+i omega (N_r - N_c) to the superoperator, with N_r and N_c the
+excitation numbers of the row and column index of each entry, so RK4
+steps the same sparse superoperator as the spectral route.
+"""
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError
 
-_FORCE_NUMPY = os.environ.get("JCDISS_PURE_NUMPY", "") == "1"
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
+def rotating_generator(liouvillian):
+    """CSR superoperator of the generator in the rotating frame."""
+    exc = liouvillian.spec.excitations()
+    # entry r + c * dim of vec(rho) is rho[r, c]
+    shift = (exc[:, None] - exc[None, :]).reshape(-1, order="F")
+    omega = liouvillian.params.omega
+    return sp.csr_matrix(liouvillian.matrix + sp.diags(1j * omega * shift))
 
 
-def backend_name():
-    """Which RK4 backend dispatch will use: "numba" or "numpy"."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-@dataclass(frozen=True)
-class KernelData:
-    """Precomputed arrays driving the RK4 inner loops.
-
-    hptr/hind/hdat: CSR of H_eff (in the integration frame). fr1/fr2 are
-    output indices, fc1/fc2 input indices, fw weights of the feed edges.
-    exc holds per-basis-state excitation numbers for unwinding the
-    rotating frame; f_scale is the spectral width (plus decay) governing
-    step-size choice in the integration frame.
-    """
-
-    dim: int
-    rotating: bool
-    omega: float
-    hptr: np.ndarray
-    hind: np.ndarray
-    hdat: np.ndarray
-    heff: np.ndarray
-    fr1: np.ndarray
-    fr2: np.ndarray
-    fc1: np.ndarray
-    fc2: np.ndarray
-    fw: np.ndarray
-    exc: np.ndarray
-    f_scale: float
-
-
-def prepare_kernel(liouvillian, rotating=False):
-    """Build KernelData from a structured Liouvillian."""
-    h = liouvillian.hamiltonian
-    dim = h.shape[0]
-    spec = liouvillian.spec
-    exc = spec.excitations()
-
-    h_frame = np.array(h, dtype=complex)
-    if rotating:
-        h_frame[np.diag_indices(dim)] -= liouvillian.params.omega * exc
-
-    msum = np.zeros((dim, dim), dtype=complex)
-    edges = {}
-    for rate, j in liouvillian.channels:
-        msum += rate * (j.conj().T @ j)
-        rows, cols = np.nonzero(np.abs(j) > 0)
-        vals = j[rows, cols]
-        for p in range(rows.size):
-            for q in range(rows.size):
-                key = (int(rows[p]), int(rows[q]), int(cols[p]), int(cols[q]))
-                w = rate * vals[p] * np.conj(vals[q])
-                edges[key] = edges.get(key, 0.0) + w
-
-    heff = h_frame - 0.5j * msum
-
-    keys = sorted(edges)
-    fr1 = np.array([k[0] for k in keys], dtype=np.int64)
-    fr2 = np.array([k[1] for k in keys], dtype=np.int64)
-    fc1 = np.array([k[2] for k in keys], dtype=np.int64)
-    fc2 = np.array([k[3] for k in keys], dtype=np.int64)
-    fw = np.array([edges[k] for k in keys], dtype=np.complex128)
-
-    hs = sp.csr_matrix(heff)
-    hs.eliminate_zeros()
-    hs.sort_indices()
-
-    evals = np.linalg.eigvalsh(0.5 * (h_frame + h_frame.conj().T))
-    spread = float(evals.max() - evals.min()) if dim > 1 else 0.0
-    decay = float(np.max(np.abs(np.diag(msum)))) if liouvillian.channels else 0.0
-    f_scale = spread + decay
-
-    return KernelData(
-        dim=dim,
-        rotating=rotating,
-        omega=float(liouvillian.params.omega),
-        hptr=hs.indptr.astype(np.int64),
-        hind=hs.indices.astype(np.int64),
-        hdat=hs.data.astype(np.complex128),
-        heff=heff,
-        fr1=fr1,
-        fr2=fr2,
-        fc1=fc1,
-        fc2=fc2,
-        fw=fw,
-        exc=np.asarray(exc, dtype=np.int64),
-        f_scale=f_scale,
-    )
-
-
-def frame_phases(kdata, t):
-    """Per-basis-state phases mapping frame solution back to the lab.
-
-    rho_lab = diag(ph) @ rho_frame @ diag(ph)^dag with ph from here; the
-    identity when the kernel integrates directly in the lab frame.
-    """
-    if not kdata.rotating:
-        return np.ones(kdata.dim, dtype=complex)
-    return np.exp(-1j * kdata.omega * t * kdata.exc)
-
-
-@njit(cache=True, nogil=True)
-def _rhs_compiled(hptr, hind, hdat, fr1, fr2, fc1, fc2, fw, rho, out):
-    dim = rho.shape[0]
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = 0.0
-    for i in range(dim):
-        for p in range(hptr[i], hptr[i + 1]):
-            l = hind[p]
-            mih = -1j * hdat[p]
-            pihc = 1j * np.conj(hdat[p])
-            for j in range(dim):
-                out[i, j] += mih * rho[l, j]
-            for j in range(dim):
-                out[j, i] += pihc * rho[j, l]
-    for e in range(fw.size):
-        out[fr1[e], fr2[e]] += fw[e] * rho[fc1[e], fc2[e]]
-
-
-@njit(cache=True, nogil=True)
-def _advance_compiled(hptr, hind, hdat, fr1, fr2, fc1, fc2, fw, rho, dt, n_steps):
-    dim = rho.shape[0]
-    k1 = np.empty((dim, dim), dtype=np.complex128)
-    k2 = np.empty((dim, dim), dtype=np.complex128)
-    k3 = np.empty((dim, dim), dtype=np.complex128)
-    k4 = np.empty((dim, dim), dtype=np.complex128)
-    tmp = np.empty((dim, dim), dtype=np.complex128)
-    for _ in range(n_steps):
-        _rhs_compiled(hptr, hind, hdat, fr1, fr2, fc1, fc2, fw, rho, k1)
-        for i in range(dim):
-            for j in range(dim):
-                tmp[i, j] = rho[i, j] + 0.5 * dt * k1[i, j]
-        _rhs_compiled(hptr, hind, hdat, fr1, fr2, fc1, fc2, fw, tmp, k2)
-        for i in range(dim):
-            for j in range(dim):
-                tmp[i, j] = rho[i, j] + 0.5 * dt * k2[i, j]
-        _rhs_compiled(hptr, hind, hdat, fr1, fr2, fc1, fc2, fw, tmp, k3)
-        for i in range(dim):
-            for j in range(dim):
-                tmp[i, j] = rho[i, j] + dt * k3[i, j]
-        _rhs_compiled(hptr, hind, hdat, fr1, fr2, fc1, fc2, fw, tmp, k4)
-        sixth = dt / 6.0
-        for i in range(dim):
-            for j in range(dim):
-                rho[i, j] += sixth * (
-                    k1[i, j] + 2.0 * k2[i, j] + 2.0 * k3[i, j] + k4[i, j]
-                )
-
-
-def _rhs_numpy(kdata, rho):
-    out = -1j * (kdata.heff @ rho - rho @ kdata.heff.conj().T)
-    np.add.at(out, (kdata.fr1, kdata.fr2), kdata.fw * rho[kdata.fc1, kdata.fc2])
-    return out
-
-
-def _advance_numpy(kdata, rho, dt, n_steps):
-    for _ in range(n_steps):
-        k1 = _rhs_numpy(kdata, rho)
-        k2 = _rhs_numpy(kdata, rho + (0.5 * dt) * k1)
-        k3 = _rhs_numpy(kdata, rho + (0.5 * dt) * k2)
-        k4 = _rhs_numpy(kdata, rho + dt * k3)
-        rho += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
-
-
-def rhs(kdata, rho):
-    """Single generator application L[rho] in the integration frame."""
-    rho = np.ascontiguousarray(rho, dtype=np.complex128)
-    if rho.shape != (kdata.dim, kdata.dim):
+def rk4_advance(generator, rho, dt, n_steps):
+    """Advance rho by n_steps RK4 steps of size dt under the superoperator
+    generator; returns a new array and leaves rho untouched."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    dim_super = generator.shape[0]
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size != dim_super:
         raise DimensionError(
-            f"state has shape {rho.shape}, kernel expects {(kdata.dim, kdata.dim)}"
+            f"state has shape {rho.shape}, generator acts on {dim_super} entries"
         )
-    if HAVE_NUMBA:
-        out = np.empty_like(rho)
-        _rhs_compiled(
-            kdata.hptr, kdata.hind, kdata.hdat,
-            kdata.fr1, kdata.fr2, kdata.fc1, kdata.fc2, kdata.fw,
-            rho, out,
-        )
-        return out
-    return _rhs_numpy(kdata, rho)
-
-
-def rk4_advance(kdata, rho, dt, n_steps, backend=None):
-    """Advance rho by n_steps RK4 steps of size dt, in place semantics.
-
-    Returns the advanced array (a fresh contiguous copy of the input is
-    made first). backend overrides dispatch: "numba", "numpy", or None
-    for the module default.
-    """
-    rho = np.array(rho, dtype=np.complex128, order="C", copy=True)
-    if rho.shape != (kdata.dim, kdata.dim):
-        raise DimensionError(
-            f"state has shape {rho.shape}, kernel expects {(kdata.dim, kdata.dim)}"
-        )
-    if n_steps <= 0:
-        return rho
-    if backend is None:
-        backend = backend_name()
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        _advance_compiled(
-            kdata.hptr, kdata.hind, kdata.hdat,
-            kdata.fr1, kdata.fr2, kdata.fc1, kdata.fc2, kdata.fw,
-            rho, float(dt), int(n_steps),
-        )
-        return rho
-    if backend == "numpy":
-        return _advance_numpy(kdata, rho, float(dt), int(n_steps))
-    raise ValueError(f"unknown backend {backend!r}")
+    v = rho.flatten(order="F")
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(n_steps):
+        k1 = generator @ v
+        k2 = generator @ (v + half * k1)
+        k3 = generator @ (v + half * k2)
+        k4 = generator @ (v + dt * k3)
+        v += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v.reshape(rho.shape, order="F")

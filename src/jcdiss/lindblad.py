@@ -266,8 +266,9 @@ class Liouvillian:
     """A Lindblad generator with both superoperator and structured forms.
 
     matrix is the sparse dim_super x dim_super superoperator (column
-    stacking). hamiltonian and channels [(rate, jump operator)] carry the
-    structured form used by the fixed-step integrator kernels.
+    stacking); both propagation routes step it. hamiltonian and channels
+    [(rate, jump operator)] carry the structured form used by apply and
+    by the RK4 step-size rule.
     """
 
     kind: str

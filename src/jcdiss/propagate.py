@@ -8,10 +8,10 @@ they can cross-check each other:
   and ket indices), expand the initial state over the eigenvectors once
   per run, and evaluate rho(t) = V exp(w t) V^-1 vec(rho0) at any set of
   times, a stack of states at a time, and
-* rk4: classical fixed-step fourth-order integration of the structured
-  generator, by default in the frame rotating at the cavity frequency
-  where the step-size requirement is set by the coupling and detuning
-  scales instead of the optical frequency.
+* rk4: classical fixed-step fourth-order integration of the same sparse
+  superoperator, in the frame rotating at the cavity frequency where the
+  step-size requirement is set by the coupling and detuning scales
+  instead of the optical frequency.
 
 The closed-form solutions cover the single-excitation sector at zero
 temperature for both generators and serve as first-principles oracles.
@@ -171,10 +171,15 @@ def spectral_decomposition(liouvillian):
     lmat = liouvillian.matrix.tocsr()
     pattern = (abs(lmat) + abs(lmat.T)).astype(bool)
     n_comp, labels = csgraph.connected_components(pattern, directed=False)
+    # one symmetric permutation makes every component a contiguous
+    # diagonal block; the stable sort keeps each block's indices ascending
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_comp))))
+    permuted = lmat[order][:, order]
     blocks = []
-    for comp in range(n_comp):
-        idx = np.nonzero(labels == comp)[0]
-        sub = lmat[np.ix_(idx, idx)].toarray()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        idx = order[start:stop]
+        sub = permuted[start:stop, start:stop].toarray()
         w, vmat = sla.eig(sub)
         lu = sla.lu_factor(vmat)
         blocks.append((idx, w, vmat, lu))
@@ -242,13 +247,11 @@ def evolve(
     times,
     method="spectral",
     dt=None,
-    frame="rotating",
     observer: Optional[Callable] = None,
     store_states: Optional[bool] = None,
     truncation_guard=True,
     truncation_tol=1e-6,
     chunk=None,
-    backend=None,
 ):
     """Propagate a state through the generator and sample it at times.
 
@@ -258,7 +261,7 @@ def evolve(
     chunks of `chunk` states (by default as many as fit in STACK_BYTES);
     the rk4 route hands out one state at a time. States are additionally
     stored unless an observer is given and store_states is not forced.
-    method is "spectral" or "rk4"; dt and frame apply to rk4 only. The
+    method is "spectral" or "rk4"; dt applies to rk4 only. The
     truncation guard aborts the run if the top two Fock levels ever hold
     more than truncation_tol of the population.
     """
@@ -273,8 +276,8 @@ def evolve(
         )
     if method == "rk4":
         return evolve_rk4(
-            liouvillian, rho0, times, dt, frame, observer, store_states,
-            truncation_guard, truncation_tol, backend,
+            liouvillian, rho0, times, dt, observer, store_states,
+            truncation_guard, truncation_tol,
         )
     raise ParameterError(f"unknown method {method!r}")
 
@@ -308,38 +311,33 @@ def evolve_spectral(
         times=times,
         states=states,
         method="spectral",
-        diagnostics={
-            **guards.diagnostics(),
-            "dt": None,
-            "frame": "lab",
-            "backend": "eig",
-        },
+        diagnostics={**guards.diagnostics(), "dt": None},
     )
 
 
-def default_time_step(liouvillian, frame="rotating", kdata=None):
-    """Step size rule: resolve the fastest retained frequency scale.
-
-    Lab frame: 0.005 / omega, capped at 0.01 / max(omega, omega0).
-    Rotating frame: the same rule applied to the in-frame spectral width
-    (detuning, coupling, decay), which is what the integrator actually
-    has to resolve there.
-    """
-    params = liouvillian.params
-    if frame == "lab":
-        cap = 0.01 / max(params.omega, params.omega0)
-        return min(0.005 / params.omega, cap), cap
-    if frame == "rotating":
-        if kdata is None:
-            kdata = _kernels.prepare_kernel(liouvillian, rotating=True)
-        f_ref = max(kdata.f_scale, 1e-9)
-        return 0.005 / f_ref, 0.01 / f_ref
-    raise ParameterError(f"unknown frame {frame!r}")
+def default_time_step(liouvillian):
+    """Step size rule in the rotating frame: 0.005 / f and a stability cap
+    of 0.01 / f, where f is the in-frame spectral width of H - omega N
+    plus the largest decay rate, which is what the integrator actually
+    has to resolve there (detuning, coupling, decay)."""
+    h = liouvillian.hamiltonian
+    dim = h.shape[0]
+    h_frame = np.array(h, dtype=complex)
+    exc = liouvillian.spec.excitations()
+    h_frame[np.diag_indices(dim)] -= liouvillian.params.omega * exc
+    msum = np.zeros((dim, dim), dtype=complex)
+    for rate, j in liouvillian.channels:
+        msum += rate * (j.conj().T @ j)
+    evals = np.linalg.eigvalsh(0.5 * (h_frame + h_frame.conj().T))
+    spread = float(evals.max() - evals.min()) if dim > 1 else 0.0
+    decay = float(np.max(np.abs(np.diag(msum)))) if liouvillian.channels else 0.0
+    f_ref = max(spread + decay, 1e-9)
+    return 0.005 / f_ref, 0.01 / f_ref
 
 
 def evolve_rk4(
-    liouvillian, rho0, times, dt=None, frame="rotating", observer=None,
-    store_states=True, truncation_guard=True, truncation_tol=1e-6, backend=None,
+    liouvillian, rho0, times, dt=None, observer=None, store_states=True,
+    truncation_guard=True, truncation_tol=1e-6,
 ):
     """Fixed-step RK4 propagation with exact landing on each output time.
 
@@ -349,10 +347,7 @@ def evolve_rk4(
     the state is resymmetrized and renormalized before being handed out
     to the observer as a stack of one.
     """
-    if frame not in ("rotating", "lab"):
-        raise ParameterError(f"unknown frame {frame!r}")
-    kdata = _kernels.prepare_kernel(liouvillian, rotating=(frame == "rotating"))
-    dt_default, dt_cap = default_time_step(liouvillian, frame, kdata)
+    dt_default, dt_cap = default_time_step(liouvillian)
     if dt is None:
         dt = dt_default
     else:
@@ -361,15 +356,18 @@ def evolve_rk4(
             raise ParameterError("dt must be positive")
         if dt > dt_cap:
             raise ParameterError(
-                f"dt = {dt:.3e} exceeds the stability cap {dt_cap:.3e} for this frame"
+                f"dt = {dt:.3e} exceeds the stability cap {dt_cap:.3e}"
             )
     dim = liouvillian.dim
+    generator = _kernels.rotating_generator(liouvillian)
+    omega = float(liouvillian.params.omega)
+    exc = liouvillian.spec.excitations()
     guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
     states = np.empty((times.size, dim, dim), dtype=complex) if store_states else None
     steps_total = 0
 
-    # integrate in the chosen frame; outputs are unwound to the lab frame
-    ph0 = _kernels.frame_phases(kdata, times[0])
+    # integrate in the rotating frame; outputs are unwound to the lab frame
+    ph0 = np.exp(-1j * omega * times[0] * exc)
     rho = (ph0.conj()[:, None] * rho0) * ph0[None, :]
     t_prev = times[0]
 
@@ -378,7 +376,7 @@ def evolve_rk4(
             span = t - t_prev
             n = max(1, math.ceil(span / dt - 1e-12))
             h = span / n
-            rho = _kernels.rk4_advance(kdata, rho, h, n, backend=backend)
+            rho = _kernels.rk4_advance(generator, rho, h, n)
             steps_total += n
             t_prev = t
 
@@ -394,7 +392,7 @@ def evolve_rk4(
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
 
-        ph = _kernels.frame_phases(kdata, t)
+        ph = np.exp(-1j * omega * t * exc)
         rho_lab = ((ph[:, None] * rho) * ph.conj()[None, :])[None]
         guards.truncation(rho_lab, times[i : i + 1])
         if states is not None:
@@ -406,13 +404,7 @@ def evolve_rk4(
         times=times,
         states=states,
         method="rk4",
-        diagnostics={
-            **guards.diagnostics(),
-            "dt": dt,
-            "frame": frame,
-            "steps_total": steps_total,
-            "backend": backend or _kernels.backend_name(),
-        },
+        diagnostics={**guards.diagnostics(), "dt": dt, "steps_total": steps_total},
     )
 
 

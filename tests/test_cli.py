@@ -135,12 +135,13 @@ def test_manifest_structure(tmp_path):
     assert manifest["command"] == "evolve"
     assert manifest["model"] == "microscopic"
     assert manifest["n_max"] == 8
-    assert manifest["backend"] in ("numba", "numpy")
+    assert "backend" not in manifest
     assert len(manifest["config_sha256"]) == 64
     assert manifest["files"] == ["ground_population.csv", "purity.csv"]
     entry = manifest["jobs"][0]["models"]["microscopic"]
     assert entry["method"] == "spectral"
     assert entry["fallback_to_rk4"] is False
+    assert "backend" not in entry and "frame" not in entry
     for key in (
         "trace_drift_max", "herm_defect_max", "top_population_max",
         "min_eigenvalue", "uncertainty_product_min",
@@ -206,7 +207,7 @@ def test_oracle_report_passes(tmp_path):
     config = load_scenario("oracle_single_excitation")
     report = cli.compare_analytic(config, out_dir=str(tmp_path / "out"))
     assert report["passed"] is True
-    assert report["flagged"] == []
+    assert "flagged" not in report
     assert report["n_trials"] == 6
     for kind in ("microscopic", "phenomenological"):
         assert report["worst_trace_distance"][kind] < 1e-6
@@ -321,6 +322,26 @@ def test_main_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):
     # the partial report still lands on disk for the post-mortem
     report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
     assert report["runs"][-1]["max_trace_distance"] > 1e-6
+
+
+def test_small_phenomenological_oracle_mismatch_exits_4(tmp_path, monkeypatch):
+    # no downgrade: a closed form off by 1e-5 in trace distance fails the run
+    exact = cli.analytic_phenomenological
+
+    def shifted(params, amps, times, spec):
+        out = exact(params, amps, times, spec)
+        out[:, 0, 0] += 1e-5
+        out[:, 1, 1] -= 1e-5
+        return out
+
+    monkeypatch.setattr(cli, "analytic_phenomenological", shifted)
+    raw = _tiny_raw(model="phenomenological", t_max=4.0, n_points=9, n_max=6)
+    raw["oracle"] = {"n_trials": 0}
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["oracle", path, "--out", str(tmp_path / "out")]) == 4
+    report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+    assert report["runs"][-1]["max_trace_distance"] == pytest.approx(1e-5, rel=1e-3)
+    assert "flagged" not in report
 
 
 def test_console_module_entry(tmp_path):

@@ -94,19 +94,6 @@ def test_rk4_matches_microscopic_closed_form():
     assert worst < 1e-8
 
 
-def test_rk4_lab_frame_agrees_with_spectral():
-    spec = SpaceSpec(6)
-    params = _params(delta=1.0)
-    liouvillian = build_liouvillian("microscopic", params, spec)
-    psi0 = single_excitation_state(1.0, 0.0, spec)
-    times = np.linspace(0.0, 2.0, 9)
-    lab = evolve(liouvillian, psi0, times, method="rk4", frame="lab")
-    ref = evolve(liouvillian, psi0, times, method="spectral")
-    worst = max(trace_distance(a, b) for a, b in zip(lab.states, ref.states))
-    assert worst < 1e-7
-    assert lab.diagnostics["frame"] == "lab"
-
-
 def test_rk4_step_validation():
     spec = SpaceSpec(3)
     liouvillian = build_liouvillian("microscopic", _params(), spec)
@@ -114,11 +101,9 @@ def test_rk4_step_validation():
     times = np.linspace(0.0, 1.0, 3)
     with pytest.raises(ParameterError):
         evolve(liouvillian, psi0, times, method="rk4", dt=-0.1)
-    # above the stability cap for the lab frame (0.01 / omega)
+    # above the stability cap of the rotating frame (0.01 / f_scale)
     with pytest.raises(ParameterError):
-        evolve(liouvillian, psi0, times, method="rk4", frame="lab", dt=1.0)
-    with pytest.raises(ParameterError):
-        evolve(liouvillian, psi0, times, method="rk4", frame="interaction")
+        evolve(liouvillian, psi0, times, method="rk4", dt=1.0)
     with pytest.raises(ParameterError):
         evolve(liouvillian, psi0, np.array([0.0, 2.0, 1.0]), method="rk4")
     with pytest.raises(ParameterError):
@@ -128,12 +113,13 @@ def test_rk4_step_validation():
 def test_default_time_step_frames():
     spec = SpaceSpec(4)
     liouvillian = build_liouvillian("microscopic", _params(), spec)
-    dt_lab, cap_lab = default_time_step(liouvillian, frame="lab")
-    assert dt_lab == pytest.approx(0.005 / 100.0)
-    assert cap_lab == pytest.approx(0.01 / 100.0)
-    dt_rot, cap_rot = default_time_step(liouvillian, frame="rotating")
-    # the rotating frame removes the carrier, so the step is much larger
-    assert dt_rot > 20 * dt_lab
+    dt, cap = default_time_step(liouvillian)
+    # in-frame width of H - omega N plus the largest decay rate is 4.8
+    assert dt == pytest.approx(0.005 / 4.8, rel=1e-12)
+    assert cap == pytest.approx(0.01 / 4.8, rel=1e-12)
+    # the rotating frame removes the carrier: far above the 0.005 / omega
+    # a lab-frame step would need
+    assert dt > 20 * 0.005 / liouvillian.params.omega
 
 
 def test_spectral_identity_at_t_zero():

@@ -1,0 +1,60 @@
+"""Property tests over random parameters for both generators.
+
+Every Lindblad semigroup is trace-norm contractive and its stationary
+state is a fixed point, so ||rho(t) - rho_ss||_1 can never grow; the two
+propagation routes must agree, and every state must stay a unit-trace
+Hermitian matrix. The truncation guard is off: the properties hold for
+the truncated generator whatever population reaches the top levels.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from jcdiss.dressed import SystemParams
+from jcdiss.hilbert import SpaceSpec
+from jcdiss.lindblad import build_liouvillian
+from jcdiss.propagate import evolve, steady_state, trace_distance
+
+_TIMES = np.linspace(0.0, 2.0, 6)
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(
+    max_examples=12,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    gamma=st.floats(0.02, 1.9),
+    nbar=st.floats(0.0, 0.5),
+    n_max=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_routes_agree_and_contract_to_the_steady_state(delta, gamma, nbar, n_max, seed):
+    spec = SpaceSpec(n_max)
+    params = SystemParams(
+        omega0=100.0 + delta, omega=100.0, gamma=gamma, nbar_at_omega=nbar
+    )
+    rho0 = _random_state(spec.dim_total, seed)
+    for kind in ("microscopic", "phenomenological"):
+        liouvillian = build_liouvillian(kind, params, spec)
+        spectral = evolve(liouvillian, rho0, _TIMES, truncation_guard=False)
+        rk4 = evolve(liouvillian, rho0, _TIMES, method="rk4", truncation_guard=False)
+        rho_ss = steady_state(liouvillian)
+        distances = []
+        for a, b in zip(spectral.states, rk4.states):
+            assert trace_distance(a, b) < 1e-6, kind
+            for rho in (a, b):
+                assert abs(np.trace(rho) - 1.0) < 1e-10, kind
+                assert np.abs(rho - rho.conj().T).max() < 1e-10, kind
+            distances.append(2.0 * trace_distance(a, rho_ss))
+        assert np.all(np.diff(distances) <= 1e-10), (kind, distances)
