@@ -88,7 +88,6 @@ class ScenarioConfig:
     t_max: float
     n_points: int
     method: str
-    dt: Optional[float]
     n_max: Optional[int]
     observables: tuple
     husimi: Optional[dict]
@@ -159,7 +158,6 @@ _TOP_LEVEL_KEYS = {
     "t_max",
     "n_points",
     "method",
-    "dt",
     "n_max",
     "observables",
     "husimi",
@@ -266,9 +264,6 @@ def parse_config(raw, source="<config>"):
         "method",
         f"expected 'spectral' or 'rk4', got {method!r}",
     )
-    dt = _get_number(raw, "dt", source)
-    if dt is not None:
-        _expect(dt > 0, "dt", "must be positive")
     n_max = _get_int(raw, "n_max", source)
     if n_max is not None:
         _expect(n_max >= 1, "n_max", "must be at least 1")
@@ -342,7 +337,6 @@ def parse_config(raw, source="<config>"):
         t_max=t_max,
         n_points=n_points,
         method=method,
-        dt=dt,
         n_max=n_max,
         observables=tuple(observables),
         husimi=dict(husimi) if husimi is not None else None,
@@ -353,7 +347,10 @@ def parse_config(raw, source="<config>"):
     )
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """Parse a scenario file. overrides maps top-level fields to values
+    that replace the file's (the command-line flags); they pass the same
+    validation, and the config hash stays that of the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -361,7 +358,11 @@ def load_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(raw, source=os.path.basename(path))
+    source = os.path.basename(path)
+    config = parse_config(raw, source=source)
+    if not overrides:
+        return config
+    return replace(parse_config({**raw, **overrides}, source=source), raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +410,7 @@ def default_n_max(initial_state):
     return 8
 
 
-def _resolve_n_max(config, override=None):
-    if override is not None:
-        return int(override)
+def _resolve_n_max(config):
     if config.n_max is not None:
         return config.n_max
     return default_n_max(config.initial_state)
@@ -467,7 +466,63 @@ def _merge_invariants(summary, update):
 
 
 # ---------------------------------------------------------------------------
-# evolve
+# the runner loop
+
+
+def _prepare(config):
+    """Resolved truncation and space of a run; creates the output
+    directory."""
+    n_max = _resolve_n_max(config)
+    os.makedirs(config.output, exist_ok=True)
+    return n_max, SpaceSpec(n_max=n_max)
+
+
+def _output_times(config):
+    return np.linspace(0.0, config.t_max, config.n_points)
+
+
+def _base_manifest(config, n_max, command):
+    return {
+        "command": command,
+        "description": config.description,
+        "config_sha256": config.sha256(),
+        "version": __version__,
+        "model": config.model,
+        "method": config.method,
+        "n_max": n_max,
+        "t_max": config.t_max,
+        "n_points": config.n_points,
+        "seed": config.seed,
+    }
+
+
+def _job_entry(tag, params, **fields):
+    return {"tag": tag or None, "delta": params.delta, "omega": params.omega,
+            **fields}
+
+
+def _run_jobs(config, command, job):
+    """The loop of every command but oracle: job(config, tag, params,
+    spec) -> (files, entry) once per detuning, collected into the
+    command's manifest."""
+    n_max, spec = _prepare(config)
+    results = [job(config, tag, params, spec) for tag, params in _jobs(config)]
+    manifest = _base_manifest(config, n_max, command)
+    manifest["jobs"] = [entry for _, entry in results]
+    manifest["files"] = sorted(name for files, _ in results for name in files)
+    return manifest
+
+
+def _write_manifest(config, manifest):
+    """Write manifest.json (evolve) or <command>_manifest.json."""
+    command = manifest["command"]
+    name = "manifest.json" if command == "evolve" else f"{command}_manifest.json"
+    _write_json(os.path.join(config.output, name), manifest)
+    return manifest
+
+
+# ---------------------------------------------------------------------------
+# evolve and husimi
 
 
 class _StateAudit:
@@ -504,73 +559,59 @@ def _model_entry(result, audit, fallback):
     }
 
 
-def _run_with_fallback(run, method):
-    """run(method); a spectral run that refuses the generator is redone
-    from scratch with rk4. Returns run's result and whether the fallback
-    was taken."""
+def _observed_run(liouvillian, state, times, method, observe):
+    """Evolve one model, hand every chunk of output states to
+    observe(i0, t_chunk, rho_stack) and audit it; returns the model's
+    manifest entry.
+
+    A spectral run that refuses the generator is redone with rk4. It
+    raises in SpectralDecomposition.expand, before any chunk is
+    observed, so the rerun reuses the same observer and audit.
+    """
+    audit = _StateAudit(liouvillian.spec)
+
+    def observer(i0, tc, stack):
+        observe(i0, tc, stack)
+        audit.inspect(stack)
+
     try:
-        return run(method), False
+        result = evolve(liouvillian, state, times, method=method, observer=observer)
+        fallback = False
     except DefectiveLiouvillianError:
         if method != "spectral":
             raise
-        return run("rk4"), True
+        result = evolve(liouvillian, state, times, method="rk4", observer=observer)
+        fallback = True
+    return _model_entry(result, audit, fallback)
 
 
-def _evolve_series(liouvillian, state, times, names, config):
-    """One model, one grid: stream the requested observables and audit
-    every output state."""
+def _evolve_series(liouvillian, state, times, names, method):
+    """One model, one grid: the requested observables at every time."""
     spec = liouvillian.spec
+    values = {name: np.empty(times.size) for name in names}
 
-    def run(method):
-        values = {name: np.empty(times.size) for name in names}
-        audit = _StateAudit(spec)
+    def observe(i0, tc, stack):
+        for name in names:
+            values[name][i0 : i0 + tc.size] = OBSERVABLES[name](stack, spec)
 
-        def observer(i0, tc, stack):
-            for name in names:
-                values[name][i0 : i0 + tc.size] = OBSERVABLES[name](stack, spec)
-            audit.inspect(stack)
-
-        result = evolve(
-            liouvillian, state, times, method=method, dt=config.dt,
-            observer=observer,
-        )
-        return values, audit, result
-
-    (values, audit, result), fallback = _run_with_fallback(run, config.method)
-    return values, _model_entry(result, audit, fallback)
+    return values, _observed_run(liouvillian, state, times, method, observe)
 
 
-def _husimi_grid(config):
-    block = config.husimi
-    extent = block.get("extent")
-    if extent is None:
-        extent = _default_extent(config.initial_state)
-    return HusimiGridSpec(extent=float(extent), n_points=block.get("n_points") or 121)
-
-
-def _husimi_snapshots(liouvillian, state, config, out_dir, tag):
+def _husimi_snapshots(liouvillian, state, config, tag):
     """Snapshot CSVs for one model; states at the requested times are
     audited like any other output."""
     spec = liouvillian.spec
-    times = np.asarray([float(t) for t in config.husimi["times"]])
-    grid = _husimi_grid(config)
+    block = config.husimi
+    times = np.asarray([float(t) for t in block["times"]])
+    extent = block.get("extent") or _default_extent(config.initial_state)
+    grid = HusimiGridSpec(extent=float(extent), n_points=block.get("n_points", 121))
+    snapshots = []
 
-    def run(method):
-        audit = _StateAudit(spec)
-        snapshots = []
+    def observe(i0, tc, stack):
+        for k, (t, rho) in enumerate(zip(tc, stack)):
+            snapshots.append((i0 + k, t, husimi_q(rho, spec, grid)))
 
-        def observer(i0, tc, stack):
-            audit.inspect(stack)
-            for k, (t, rho) in enumerate(zip(tc, stack)):
-                snapshots.append((i0 + k, t, husimi_q(rho, spec, grid)))
-
-        result = evolve(
-            liouvillian, state, times, method=method, dt=config.dt,
-            observer=observer,
-        )
-        return snapshots, audit, result
-
-    (snapshots, audit, result), fallback = _run_with_fallback(run, config.method)
+    model_entry = _observed_run(liouvillian, state, times, config.method, observe)
 
     files = []
     index = []
@@ -579,34 +620,34 @@ def _husimi_snapshots(liouvillian, state, config, out_dir, tag):
         name = f"husimi_{kind}{tag}_t{i}.csv"
         xs, ys = np.meshgrid(phase_grid.x, phase_grid.y)
         _write_csv(
-            os.path.join(out_dir, name),
+            os.path.join(config.output, name),
             ["re_alpha", "im_alpha", "q"],
             [xs.ravel(), ys.ravel(), phase_grid.values.ravel()],
         )
         files.append(name)
         index.append({"file": name, "gt": t, "mass": phase_grid.mass})
-    return files, index, _model_entry(result, audit, fallback)
+    return files, index, model_entry
 
 
-def _run_evolve_job(config, tag, params, spec, times, out_dir, with_husimi):
+def _run_evolve_job(config, tag, params, spec):
+    times = _output_times(config)
     psi0 = build_initial_state(config, spec)
     models = _models(config)
     files = []
-    entry = {"tag": tag or None, "delta": params.delta, "omega": params.omega,
-             "models": {}}
+    entry = _job_entry(tag, params, models={})
 
     series = {}
     for kind in models:
         liouvillian = build_liouvillian(kind, params, spec)
         if config.observables:
             values, model_entry = _evolve_series(
-                liouvillian, psi0, times, config.observables, config
+                liouvillian, psi0, times, config.observables, config.method
             )
             series[kind] = values
             entry["models"][kind] = model_entry
-        if with_husimi and config.husimi is not None:
+        if config.husimi is not None:
             snap_files, snap_index, snap_entry = _husimi_snapshots(
-                liouvillian, psi0, config, out_dir, tag
+                liouvillian, psi0, config, tag
             )
             files.extend(snap_files)
             if kind in entry["models"]:
@@ -615,178 +656,75 @@ def _run_evolve_job(config, tag, params, spec, times, out_dir, with_husimi):
                 entry["models"][kind] = snap_entry
             entry["models"][kind]["husimi"] = snap_index
 
-    if config.observables:
-        for name in config.observables:
-            csv_name = f"{name}{tag}.csv"
-            if config.model == "both":
-                header = ["gt", "value", "value_phenomenological"]
-                columns = [times, series["microscopic"][name],
-                           series["phenomenological"][name]]
-            else:
-                header = ["gt", "value"]
-                columns = [times, series[models[0]][name]]
-            _write_csv(os.path.join(out_dir, csv_name), header, columns)
-            files.append(csv_name)
+    # one column per model, microscopic first
+    header = ["gt", "value", "value_phenomenological"][: 1 + len(models)]
+    for name in config.observables:
+        csv_name = f"{name}{tag}.csv"
+        columns = [times] + [series[kind][name] for kind in models]
+        _write_csv(os.path.join(config.output, csv_name), header, columns)
+        files.append(csv_name)
 
     entry["files"] = sorted(files)
     return files, entry
 
 
-def _base_manifest(config, n_max, command):
-    return {
-        "command": command,
-        "description": config.description,
-        "config_sha256": config.sha256(),
-        "version": __version__,
-        "model": config.model,
-        "method": config.method,
-        "n_max": n_max,
-        "t_max": config.t_max,
-        "n_points": config.n_points,
-        "seed": config.seed,
-    }
+def _run_evolve(config, command):
+    """Every series and snapshot the scenario declares; the manifest
+    also folds the invariants of every model of every job."""
+    manifest = _run_jobs(config, command, _run_evolve_job)
+    invariants = {}
+    for entry in manifest["jobs"]:
+        for model_entry in entry["models"].values():
+            _merge_invariants(invariants, model_entry)
+    manifest["invariants"] = invariants
+    return _write_manifest(config, manifest)
 
 
-def run_scenario(config, out_dir=None, method=None, dt=None, n_max=None,
-                 with_husimi=True):
-    """Run every series and snapshot the scenario declares and write the
-    manifest; returns the manifest dict."""
-    config = _apply_overrides(config, out_dir, method, dt, n_max)
-    if not config.observables and not (with_husimi and config.husimi):
+def run_scenario(config):
+    """Run every series and snapshot the scenario declares and write
+    manifest.json; returns the manifest dict."""
+    if not config.observables and config.husimi is None:
         raise ConfigError(
             "observables: nothing to do (no observables and no snapshot block)"
         )
-    resolved_n_max = _resolve_n_max(config)
-    spec = SpaceSpec(n_max=resolved_n_max)
-    times = np.linspace(0.0, config.t_max, config.n_points)
-    out = config.output
-    os.makedirs(out, exist_ok=True)
-
-    results = [
-        _run_evolve_job(config, tag, params, spec, times, out, with_husimi)
-        for tag, params in _jobs(config)
-    ]
-
-    manifest = _base_manifest(config, resolved_n_max, "evolve")
-    manifest["jobs"] = []
-    all_files = []
-    invariants = {}
-    for files, entry in results:
-        manifest["jobs"].append(entry)
-        all_files.extend(files)
-        for model_entry in entry["models"].values():
-            _merge_invariants(invariants, model_entry)
-    manifest["files"] = sorted(all_files)
-    manifest["invariants"] = invariants
-    _write_json(os.path.join(out, "manifest.json"), manifest)
-    return manifest
+    return _run_evolve(config, "evolve")
 
 
-def _apply_overrides(config, out_dir, method, dt, n_max):
-    updates = {}
-    if out_dir is not None:
-        updates["output"] = out_dir
-    if method is not None:
-        if method not in ("spectral", "rk4"):
-            raise ConfigError(f"method: expected 'spectral' or 'rk4', got {method!r}")
-        updates["method"] = method
-    if dt is not None:
-        if dt <= 0:
-            raise ConfigError("dt: must be positive")
-        updates["dt"] = float(dt)
-    if n_max is not None:
-        if int(n_max) < 1:
-            raise ConfigError("n_max: must be at least 1")
-        updates["n_max"] = int(n_max)
-    if not updates:
-        return config
-    return replace(config, **updates)
+def run_husimi(config):
+    """The scenario's phase-space snapshots only, with
+    husimi_manifest.json."""
+    if config.husimi is None:
+        raise ConfigError("husimi: snapshot block missing from the scenario")
+    return _run_evolve(replace(config, observables=()), "husimi")
 
 
 # ---------------------------------------------------------------------------
 # steady
 
 
-def run_steady(config, out_dir=None, method=None, dt=None, n_max=None):
-    config = _apply_overrides(config, out_dir, method, dt, n_max)
-    resolved_n_max = _resolve_n_max(config)
-    spec = SpaceSpec(n_max=resolved_n_max)
-    out = config.output
-    os.makedirs(out, exist_ok=True)
-
-    def worker(job):
-        tag, params = job
-        entry = {"tag": tag or None, "delta": params.delta, "omega": params.omega,
-                 "models": {}}
-        files = []
-        for kind in _models(config):
-            liouvillian = build_liouvillian(kind, params, spec)
-            rho = steady_state(liouvillian)
-            name = f"steady_{kind}{tag}.csv"
-            ks = np.arange(spec.dim_total)
-            _write_csv(
-                os.path.join(out, name),
-                ["k", "fock_n", "qubit", "population"],
-                [ks, ks // 2, ks % 2, np.real(np.diag(rho))],
-            )
-            files.append(name)
-            values = {
-                obs: float(OBSERVABLES[obs](rho, spec))
-                for obs in config.observables
-            }
-            entry["models"][kind] = {"file": name, "observables": values}
-        entry["files"] = sorted(files)
-        return files, entry
-
-    results = [worker(job) for job in _jobs(config)]
-    manifest = _base_manifest(config, resolved_n_max, "steady")
-    manifest["jobs"] = [entry for _, entry in results]
-    manifest["files"] = sorted(name for files, _ in results for name in files)
-    _write_json(os.path.join(out, "steady_manifest.json"), manifest)
-    return manifest
+def _steady_job(config, tag, params, spec):
+    entry = _job_entry(tag, params, models={})
+    files = []
+    ks = np.arange(spec.dim_total)
+    for kind in _models(config):
+        rho = steady_state(build_liouvillian(kind, params, spec))
+        name = f"steady_{kind}{tag}.csv"
+        _write_csv(
+            os.path.join(config.output, name),
+            ["k", "fock_n", "qubit", "population"],
+            [ks, ks // 2, ks % 2, np.real(np.diag(rho))],
+        )
+        files.append(name)
+        values = {
+            obs: float(OBSERVABLES[obs](rho, spec)) for obs in config.observables
+        }
+        entry["models"][kind] = {"file": name, "observables": values}
+    entry["files"] = sorted(files)
+    return files, entry
 
 
-# ---------------------------------------------------------------------------
-# husimi
-
-
-def run_husimi(config, out_dir=None, method=None, dt=None, n_max=None):
-    config = _apply_overrides(config, out_dir, method, dt, n_max)
-    if config.husimi is None:
-        raise ConfigError("husimi: snapshot block missing from the scenario")
-    resolved_n_max = _resolve_n_max(config)
-    spec = SpaceSpec(n_max=resolved_n_max)
-    out = config.output
-    os.makedirs(out, exist_ok=True)
-
-    def worker(job):
-        tag, params = job
-        psi0 = build_initial_state(config, spec)
-        entry = {"tag": tag or None, "delta": params.delta, "omega": params.omega,
-                 "models": {}}
-        files = []
-        for kind in _models(config):
-            liouvillian = build_liouvillian(kind, params, spec)
-            snap_files, snap_index, model_entry = _husimi_snapshots(
-                liouvillian, psi0, config, out, tag
-            )
-            files.extend(snap_files)
-            model_entry["husimi"] = snap_index
-            entry["models"][kind] = model_entry
-        entry["files"] = sorted(files)
-        return files, entry
-
-    results = [worker(job) for job in _jobs(config)]
-    manifest = _base_manifest(config, resolved_n_max, "husimi")
-    manifest["jobs"] = [entry for _, entry in results]
-    manifest["files"] = sorted(name for files, _ in results for name in files)
-    invariants = {}
-    for _, entry in results:
-        for model_entry in entry["models"].values():
-            _merge_invariants(invariants, model_entry)
-    manifest["invariants"] = invariants
-    _write_json(os.path.join(out, "husimi_manifest.json"), manifest)
-    return manifest
+def run_steady(config):
+    return _write_manifest(config, _run_jobs(config, "steady", _steady_job))
 
 
 # ---------------------------------------------------------------------------
@@ -814,13 +752,12 @@ def _oracle_trials(config):
     return trials
 
 
-def compare_analytic(config, out_dir=None, method=None, dt=None, n_max=None):
+def compare_analytic(config):
     """Propagate single-excitation scenarios numerically and compare with
     the closed-form solutions; the report carries the worst trace
     distance per model. Any trace distance above the tolerance raises
     OracleMismatchError after the report so far is written.
     """
-    config = _apply_overrides(config, out_dir, method, dt, n_max)
     init = config.initial_state
     if init["kind"] != "single_excitation":
         raise ConfigError(
@@ -831,18 +768,16 @@ def compare_analytic(config, out_dir=None, method=None, dt=None, n_max=None):
         raise ConfigError(
             "params.nbar_at_omega: the closed forms hold at zero temperature only"
         )
-    resolved_n_max = _resolve_n_max(config)
-    spec = SpaceSpec(n_max=resolved_n_max)
-    times = np.linspace(0.0, config.t_max, config.n_points)
+    n_max, spec = _prepare(config)
+    times = _output_times(config)
     out = config.output
-    os.makedirs(out, exist_ok=True)
     trials = _oracle_trials(config)
     analytic_for = {
         "microscopic": analytic_microscopic,
         "phenomenological": analytic_phenomenological,
     }
 
-    report = _base_manifest(config, resolved_n_max, "oracle")
+    report = _base_manifest(config, n_max, "oracle")
     report["tolerance"] = _ORACLE_TOL
     report["n_trials"] = len(trials)
     report["runs"] = []
@@ -853,9 +788,7 @@ def compare_analytic(config, out_dir=None, method=None, dt=None, n_max=None):
             liouvillian = build_liouvillian(kind, params, spec)
             for trial, amps in enumerate(trials):
                 psi0 = single_excitation_state(amps.alpha, amps.beta, spec)
-                numeric = evolve(
-                    liouvillian, psi0, times, method=config.method, dt=config.dt
-                )
+                numeric = evolve(liouvillian, psi0, times, method=config.method)
                 closed = analytic_for[kind](params, amps, times, spec)
                 dists = np.array([
                     trace_distance(numeric.states[i], closed[i])
@@ -889,40 +822,25 @@ def compare_analytic(config, out_dir=None, method=None, dt=None, n_max=None):
 # rates
 
 
-def run_rates(config, out_dir=None, method=None, dt=None, n_max=None):
-    config = _apply_overrides(config, out_dir, method, dt, n_max)
-    resolved_n_max = _resolve_n_max(config)
-    spec = SpaceSpec(n_max=resolved_n_max)
-    out = config.output
-    os.makedirs(out, exist_ok=True)
-    header = (
-        ["n", "a_n", "b_n", "d_n"]
-        + [f"gamma{i}" for i in range(1, 7)]
-        + [f"gtilde{i}" for i in range(1, 7)]
-    )
+_RATE_HEADER = (
+    ["n", "a_n", "b_n", "d_n"]
+    + [f"gamma{i}" for i in range(1, 7)]
+    + [f"gtilde{i}" for i in range(1, 7)]
+)
 
-    manifest = _base_manifest(config, resolved_n_max, "rates")
-    manifest["jobs"] = []
-    files = []
-    for tag, params in _jobs(config):
-        spectrum = dressed_spectrum(params, spec)
-        table = build_rate_table(params, spectrum)
-        rows = rate_table_rows(table)
-        name = f"rates{tag}.csv"
-        columns = [np.array([row[j] for row in rows]) for j in range(len(header))]
-        _write_csv(os.path.join(out, name), header, columns)
-        files.append(name)
-        manifest["jobs"].append({
-            "tag": tag or None,
-            "delta": params.delta,
-            "omega": params.omega,
-            "kT": table.kT,
-            "n_ladder": table.n_ladder,
-            "file": name,
-        })
-    manifest["files"] = sorted(files)
-    _write_json(os.path.join(out, "rates_manifest.json"), manifest)
-    return manifest
+
+def _rates_job(config, tag, params, spec):
+    table = build_rate_table(params, dressed_spectrum(params, spec))
+    rows = rate_table_rows(table)
+    name = f"rates{tag}.csv"
+    columns = [np.array([row[j] for row in rows]) for j in range(len(_RATE_HEADER))]
+    _write_csv(os.path.join(config.output, name), _RATE_HEADER, columns)
+    entry = _job_entry(tag, params, kT=table.kT, n_ladder=table.n_ladder, file=name)
+    return [name], entry
+
+
+def run_rates(config):
+    return _write_manifest(config, _run_jobs(config, "rates", _rates_job))
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +865,6 @@ def _build_parser():
         cmd.add_argument("--out", help="output directory (overrides the scenario)")
         cmd.add_argument("--method", choices=("spectral", "rk4"),
                          help="propagation method override")
-        cmd.add_argument("--dt", type=float, help="rk4 step-size override")
         cmd.add_argument("--nmax", type=int, help="truncation override")
     return parser
 
@@ -963,13 +880,11 @@ _RUNNERS = {
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    flags = {"output": args.out, "method": args.method, "n_max": args.nmax}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     try:
-        config = load_config(args.config)
-        runner = _RUNNERS[args.command]
-        manifest = runner(
-            config, out_dir=args.out, method=args.method, dt=args.dt,
-            n_max=args.nmax,
-        )
+        config = load_config(args.config, overrides)
+        manifest = _RUNNERS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -82,13 +82,6 @@ def check_operator_stack(op, spec):
     return op
 
 
-def check_state_shape(psi, spec):
-    psi = np.asarray(psi)
-    if psi.shape != (spec.dim_total,):
-        raise DimensionError(f"state shape {psi.shape} != ({spec.dim_total},)")
-    return psi
-
-
 def build_annihilation(spec):
     """Field annihilation operator a (x) 1 on the composite space.
 

@@ -28,17 +28,17 @@ from .dressed import (
 
 
 def thermal_occupation(nu, kT):
-    """Bose occupation 1 / (exp(nu/kT) - 1); 0 at zero temperature.
+    """Bose occupation 1 / (exp(nu/kT) - 1) of a Bohr frequency or an
+    array of them; 0 at zero temperature.
 
     nu must be positive: the bath spectrum is only sampled at positive
     Bohr frequencies.
     """
-    nu = float(nu)
-    if nu <= 0.0:
+    nu = np.asarray(nu, dtype=float)
+    if np.any(nu <= 0.0):
         raise DomainError(f"thermal occupation needs nu > 0, got {nu}")
-    if kT == 0.0:
-        return 0.0
-    return 1.0 / np.expm1(nu / kT)
+    occupation = np.zeros_like(nu) if kT == 0.0 else 1.0 / np.expm1(nu / kT)
+    return occupation if occupation.ndim else float(occupation)
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,10 @@ def build_rate_table(params, spectrum):
             )
 
     def down(nu):
-        return (1.0 + _nbar(nu, kT)) * gamma
+        return (1.0 + thermal_occupation(nu, kT)) * gamma
 
     def up(nu):
-        return _nbar(nu, kT) * gamma
+        return thermal_occupation(nu, kT) * gamma
 
     return RateTable(
         kT=kT,
@@ -158,12 +158,6 @@ def build_rate_table(params, spectrum):
         gtilde5=up(nu5),
         gtilde6=up(nu6),
     )
-
-
-def _nbar(nu, kT):
-    if kT == 0.0:
-        return np.zeros_like(np.asarray(nu, dtype=float)) if np.ndim(nu) else 0.0
-    return 1.0 / np.expm1(np.asarray(nu, dtype=float) / kT)
 
 
 def rate_table_rows(table):

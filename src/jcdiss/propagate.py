@@ -69,8 +69,9 @@ def _check_times(times):
 class EvolutionResult:
     """Output of evolve: sampled times, optional states, and diagnostics.
 
-    states has shape (n_times, dim, dim) when stored. diagnostics records
-    raw (pre-correction) trace drift and hermiticity defect maxima, the
+    states has shape (n_times, dim, dim) when evolve was given no
+    observer, and is None otherwise. diagnostics records raw
+    (pre-correction) trace drift and hermiticity defect maxima, the
     largest combined population seen in the top two Fock levels, and
     method details.
     """
@@ -246,9 +247,7 @@ def evolve(
     state,
     times,
     method="spectral",
-    dt=None,
     observer: Optional[Callable] = None,
-    store_states: Optional[bool] = None,
     truncation_guard=True,
     truncation_tol=1e-6,
     chunk=None,
@@ -259,32 +258,28 @@ def evolve(
     the requested times in order: rho_stack[k] is the state at
     t_chunk[k], the (i0 + k)-th output time. The spectral route makes
     chunks of `chunk` states (by default as many as fit in STACK_BYTES);
-    the rk4 route hands out one state at a time. States are additionally
-    stored unless an observer is given and store_states is not forced.
-    method is "spectral" or "rk4"; dt applies to rk4 only. The
+    the rk4 route hands out one state at a time. States are stored only
+    when no observer is given. method is "spectral" or "rk4". The
     truncation guard aborts the run if the top two Fock levels ever hold
     more than truncation_tol of the population.
     """
     times = _check_times(times)
     rho0 = _as_density(state, liouvillian.dim)
-    if store_states is None:
-        store_states = observer is None
     if method == "spectral":
         return evolve_spectral(
-            liouvillian, rho0, times, observer, store_states,
-            truncation_guard, truncation_tol, chunk,
+            liouvillian, rho0, times, observer, truncation_guard, truncation_tol,
+            chunk,
         )
     if method == "rk4":
         return evolve_rk4(
-            liouvillian, rho0, times, dt, observer, store_states,
-            truncation_guard, truncation_tol,
+            liouvillian, rho0, times, observer, truncation_guard, truncation_tol,
         )
     raise ParameterError(f"unknown method {method!r}")
 
 
 def evolve_spectral(
-    liouvillian, rho0, times, observer=None, store_states=True,
-    truncation_guard=True, truncation_tol=1e-6, chunk=None,
+    liouvillian, rho0, times, observer=None, truncation_guard=True,
+    truncation_tol=1e-6, chunk=None,
 ):
     """Spectral propagation at arbitrary times; states are exact up to the
     conditioning of the eigenbasis, which the amplification gate of
@@ -297,15 +292,15 @@ def evolve_spectral(
         chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
     expansion = decomp.expand(vec(rho0))
     guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
-    states = np.empty((times.size, dim, dim), dtype=complex) if store_states else None
+    states = np.empty((times.size, dim, dim), complex) if observer is None else None
     for start in range(0, times.size, chunk):
         tc = times[start : start + chunk]
         stack = decomp.propagate_vec(expansion, tc)
         guards.drift(stack)
         guards.truncation(stack, tc)
-        if states is not None:
+        if observer is None:
             states[start : start + tc.size] = stack
-        if observer is not None:
+        else:
             observer(start, tc, stack)
     return EvolutionResult(
         times=times,
@@ -316,10 +311,10 @@ def evolve_spectral(
 
 
 def default_time_step(liouvillian):
-    """Step size rule in the rotating frame: 0.005 / f and a stability cap
-    of 0.01 / f, where f is the in-frame spectral width of H - omega N
-    plus the largest decay rate, which is what the integrator actually
-    has to resolve there (detuning, coupling, decay)."""
+    """RK4 step in the rotating frame: 0.005 / f, where f is the in-frame
+    spectral width of H - omega N plus the largest decay rate, which is
+    what the integrator actually has to resolve there (detuning,
+    coupling, decay)."""
     h = liouvillian.hamiltonian
     dim = h.shape[0]
     h_frame = np.array(h, dtype=complex)
@@ -331,39 +326,28 @@ def default_time_step(liouvillian):
     evals = np.linalg.eigvalsh(0.5 * (h_frame + h_frame.conj().T))
     spread = float(evals.max() - evals.min()) if dim > 1 else 0.0
     decay = float(np.max(np.abs(np.diag(msum)))) if liouvillian.channels else 0.0
-    f_ref = max(spread + decay, 1e-9)
-    return 0.005 / f_ref, 0.01 / f_ref
+    return 0.005 / max(spread + decay, 1e-9)
 
 
 def evolve_rk4(
-    liouvillian, rho0, times, dt=None, observer=None, store_states=True,
-    truncation_guard=True, truncation_tol=1e-6,
+    liouvillian, rho0, times, observer=None, truncation_guard=True,
+    truncation_tol=1e-6,
 ):
     """Fixed-step RK4 propagation with exact landing on each output time.
 
     Between consecutive outputs the interval is split into equal steps no
-    longer than dt. At each output the raw trace and hermiticity drifts
-    are checked against 1e-7 (DriftError beyond that) and recorded, then
-    the state is resymmetrized and renormalized before being handed out
-    to the observer as a stack of one.
+    longer than default_time_step. At each output the raw trace and
+    hermiticity drifts are checked against 1e-7 (DriftError beyond that)
+    and recorded, then the state is resymmetrized and renormalized
+    before being handed out to the observer as a stack of one.
     """
-    dt_default, dt_cap = default_time_step(liouvillian)
-    if dt is None:
-        dt = dt_default
-    else:
-        dt = float(dt)
-        if dt <= 0:
-            raise ParameterError("dt must be positive")
-        if dt > dt_cap:
-            raise ParameterError(
-                f"dt = {dt:.3e} exceeds the stability cap {dt_cap:.3e}"
-            )
+    dt = default_time_step(liouvillian)
     dim = liouvillian.dim
     generator = _kernels.rotating_generator(liouvillian)
     omega = float(liouvillian.params.omega)
     exc = liouvillian.spec.excitations()
     guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
-    states = np.empty((times.size, dim, dim), dtype=complex) if store_states else None
+    states = np.empty((times.size, dim, dim), complex) if observer is None else None
     steps_total = 0
 
     # integrate in the rotating frame; outputs are unwound to the lab frame
@@ -382,22 +366,18 @@ def evolve_rk4(
 
         drift, herm = guards.drift(rho[None])
         if drift[0] > 1e-7:
-            raise DriftError(
-                f"trace drifted by {drift[0]:.3e} at t={t:.6g}; reduce dt"
-            )
+            raise DriftError(f"trace drifted by {drift[0]:.3e} at t={t:.6g}")
         if herm[0] > 1e-7:
-            raise DriftError(
-                f"hermiticity defect {herm[0]:.3e} at t={t:.6g}; reduce dt"
-            )
+            raise DriftError(f"hermiticity defect {herm[0]:.3e} at t={t:.6g}")
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
 
         ph = np.exp(-1j * omega * t * exc)
         rho_lab = ((ph[:, None] * rho) * ph.conj()[None, :])[None]
         guards.truncation(rho_lab, times[i : i + 1])
-        if states is not None:
+        if observer is None:
             states[i] = rho_lab[0]
-        if observer is not None:
+        else:
             observer(i, times[i : i + 1], rho_lab)
 
     return EvolutionResult(

@@ -7,6 +7,7 @@ manifest or a CSV reads from the cached output directory.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,12 +56,12 @@ def golden_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("goldens")
     runs = {}
     for name in GOLDEN_SCENARIOS:
-        config = load_scenario(name)
         out = str(base / name)
+        config = replace(load_scenario(name), output=out)
         if name == "husimi_snapshots_two_models":
-            manifest = cli.run_husimi(config, out_dir=out)
+            manifest = cli.run_husimi(config)
         else:
-            manifest = cli.run_scenario(config, out_dir=out)
+            manifest = cli.run_scenario(config)
         runs[name] = (manifest, out)
     return runs
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ def _write_config(tmp_path, raw, name="scenario.json"):
         (lambda r: r.__setitem__("initial_state", {"alpha": 1.0}), "initial_state"),
         (lambda r: r.__setitem__("method", "euler"), "method"),
         (lambda r: r.__setitem__("frobnicate", 1), "frobnicate"),
+        (lambda r: r.__setitem__("dt", 0.01), "dt"),
         (lambda r: r["params"].__setitem__("gamma", "strong"), "gamma"),
         (lambda r: r.__setitem__(
             "husimi", {"times": [2.0, 1.0], "extent": 3.0}), "husimi"),
@@ -116,13 +118,16 @@ def test_series_csv_round_trip(tmp_path):
     assert np.array_equal(back["value"], vals)
 
 
+def _tiny_config(tmp_path, out="out", **overrides):
+    config = cli.parse_config(_tiny_raw(**overrides), source="inline")
+    return replace(config, output=str(tmp_path / out))
+
+
 def test_run_scenario_is_byte_deterministic(tmp_path):
-    raw = _tiny_raw()
-    config = cli.parse_config(raw, source="inline")
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    cli.run_scenario(config, out_dir=str(out1))
-    cli.run_scenario(config, out_dir=str(out2))
+    cli.run_scenario(_tiny_config(tmp_path, "run1"))
+    cli.run_scenario(_tiny_config(tmp_path, "run2"))
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
     for name in names:
@@ -130,8 +135,7 @@ def test_run_scenario_is_byte_deterministic(tmp_path):
 
 
 def test_manifest_structure(tmp_path):
-    config = cli.parse_config(_tiny_raw(), source="inline")
-    manifest = cli.run_scenario(config, out_dir=str(tmp_path / "out"))
+    manifest = cli.run_scenario(_tiny_config(tmp_path))
     assert manifest["command"] == "evolve"
     assert manifest["model"] == "microscopic"
     assert manifest["n_max"] == 8
@@ -150,24 +154,49 @@ def test_manifest_structure(tmp_path):
 
 
 def test_spectral_failure_falls_back_to_rk4(tmp_path, monkeypatch):
-    def refuse(self, v0, times, amplification_limit=None):
+    # the amplification gate lives in expand; the rerun reuses the
+    # observer and the audit, so its outputs are those of a plain rk4 run
+    rk4 = cli.run_scenario(
+        _tiny_config(tmp_path, "rk4", n_points=11, method="rk4")
+    )
+
+    def refuse(self, v0, amplification_limit=None):
         raise DefectiveLiouvillianError("forced failure")
 
-    monkeypatch.setattr(
-        jcdiss.propagate.SpectralDecomposition, "propagate_vec", refuse
-    )
-    config = cli.parse_config(_tiny_raw(n_points=11), source="inline")
-    manifest = cli.run_scenario(config, out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(jcdiss.propagate.SpectralDecomposition, "expand", refuse)
+    manifest = cli.run_scenario(_tiny_config(tmp_path, n_points=11))
     entry = manifest["jobs"][0]["models"]["microscopic"]
     assert entry["fallback_to_rk4"] is True
     assert entry["method"] == "rk4"
+    rk4_entry = rk4["jobs"][0]["models"]["microscopic"]
+    assert {**entry, "fallback_to_rk4": False} == rk4_entry
+    assert manifest["invariants"] == rk4["invariants"]
+    assert manifest["files"] == rk4["files"]
+    for name in manifest["files"]:
+        fallback_csv = (tmp_path / "out" / name).read_bytes()
+        assert fallback_csv == (tmp_path / "rk4" / name).read_bytes()
 
 
 def test_scenario_with_nothing_to_do_is_rejected(tmp_path):
-    raw = _tiny_raw(observables=[])
-    config = cli.parse_config(raw, source="inline")
     with pytest.raises(ConfigError):
-        cli.run_scenario(config, out_dir=str(tmp_path / "out"))
+        cli.run_scenario(_tiny_config(tmp_path, observables=[]))
+
+
+def test_evolve_writes_series_and_snapshots_like_husimi(tmp_path):
+    snapshots = {"times": [0.0, 2.5], "extent": 3.0, "n_points": 11}
+    both = cli.run_scenario(_tiny_config(tmp_path, "evolve", husimi=snapshots))
+    only = cli.run_husimi(_tiny_config(tmp_path, "husimi", husimi=snapshots))
+    assert only["command"] == "husimi"
+    assert (tmp_path / "husimi" / "husimi_manifest.json").exists()
+    snap_files = ["husimi_microscopic_t0.csv", "husimi_microscopic_t1.csv"]
+    assert only["files"] == snap_files
+    series_files = ["ground_population.csv", "purity.csv"]
+    assert both["files"] == sorted(series_files + snap_files)
+    for name in snap_files:
+        evolve_csv = (tmp_path / "evolve" / name).read_bytes()
+        assert evolve_csv == (tmp_path / "husimi" / name).read_bytes()
+    entry = both["jobs"][0]["models"]["microscopic"]
+    assert entry["husimi"] == only["jobs"][0]["models"]["microscopic"]["husimi"]
 
 
 def test_steady_outputs(tmp_path):
@@ -178,7 +207,7 @@ def test_steady_outputs(tmp_path):
     )
     raw["params"]["nbar_at_omega"] = 0.1
     config = cli.parse_config(raw, source="inline")
-    manifest = cli.run_steady(config, out_dir=str(tmp_path / "out"))
+    manifest = cli.run_steady(replace(config, output=str(tmp_path / "out")))
     for kind in ("microscopic", "phenomenological"):
         entry = manifest["jobs"][0]["models"][kind]
         n_mean = entry["observables"]["mean_photon"]
@@ -191,7 +220,7 @@ def test_steady_outputs(tmp_path):
 
 def test_rates_outputs_zero_temperature(tmp_path, scenario_dir):
     config = load_scenario("ground_state_detuning")
-    manifest = cli.run_rates(config, out_dir=str(tmp_path / "out"))
+    manifest = cli.run_rates(replace(config, output=str(tmp_path / "out")))
     assert manifest["files"] == [
         "rates_delta0.csv", "rates_delta2.csv", "rates_delta4.csv"
     ]
@@ -205,7 +234,7 @@ def test_rates_outputs_zero_temperature(tmp_path, scenario_dir):
 
 def test_oracle_report_passes(tmp_path):
     config = load_scenario("oracle_single_excitation")
-    report = cli.compare_analytic(config, out_dir=str(tmp_path / "out"))
+    report = cli.compare_analytic(replace(config, output=str(tmp_path / "out")))
     assert report["passed"] is True
     assert "flagged" not in report
     assert report["n_trials"] == 6
@@ -215,12 +244,11 @@ def test_oracle_report_passes(tmp_path):
 
 
 def test_oracle_rejects_wrong_initial_state(tmp_path):
-    raw = _tiny_raw(
-        initial_state={"kind": "fock", "n": 1, "qubit_level": "ground"}
+    config = _tiny_config(
+        tmp_path, initial_state={"kind": "fock", "n": 1, "qubit_level": "ground"}
     )
-    config = cli.parse_config(raw, source="inline")
     with pytest.raises(ConfigError):
-        cli.compare_analytic(config, out_dir=str(tmp_path / "out"))
+        cli.compare_analytic(config)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +320,24 @@ def test_main_rejects_bad_config(tmp_path, capsys):
 def test_main_rejects_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["evolve", missing, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_main_validates_flags_like_the_file(tmp_path, capsys):
+    path = _write_config(tmp_path, _tiny_raw(n_points=11))
+    out = str(tmp_path / "out")
+    assert cli.main(["evolve", path, "--out", out, "--nmax", "0"]) == 2
+    assert "n_max" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_method_flag_keeps_the_file_hash(tmp_path):
+    path = _write_config(tmp_path, _tiny_raw(n_points=11))
+    out = tmp_path / "out"
+    assert cli.main(["evolve", path, "--out", str(out), "--method", "rk4"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["method"] == "rk4"
+    assert manifest["jobs"][0]["models"]["microscopic"]["method"] == "rk4"
+    assert manifest["config_sha256"] == cli.load_config(path).sha256()
 
 
 def test_main_reports_physics_guard(tmp_path, capsys):
