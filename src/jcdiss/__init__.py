@@ -46,8 +46,6 @@ from .lindblad import (
     Liouvillian,
     RateTable,
     build_liouvillian,
-    build_microscopic_liouvillian,
-    build_phenomenological_liouvillian,
     build_rate_table,
     thermal_occupation,
 )

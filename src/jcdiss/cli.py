@@ -49,7 +49,7 @@ from .hilbert import (
     fock_state,
     single_excitation_state,
 )
-from .lindblad import build_liouvillian, build_rate_table, rate_table_rows
+from .lindblad import build_liouvillian, build_rate_table, rate_table_columns
 from .observables import (
     OBSERVABLES,
     HusimiGridSpec,
@@ -445,11 +445,11 @@ def _default_extent(initial_state):
 
 def _write_csv(path, header, columns):
     """All cells as '%.17g': full round-trip precision, byte-stable."""
-    rows = len(columns[0])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = zip(*(np.asarray(col).tolist() for col in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(f"{float(col[i]):.17g}" for col in columns) + "\n")
+        fh.writelines(row % values for values in cells)
 
 
 def _write_json(path, payload):
@@ -822,19 +822,11 @@ def compare_analytic(config):
 # rates
 
 
-_RATE_HEADER = (
-    ["n", "a_n", "b_n", "d_n"]
-    + [f"gamma{i}" for i in range(1, 7)]
-    + [f"gtilde{i}" for i in range(1, 7)]
-)
-
-
 def _rates_job(config, tag, params, spec):
     table = build_rate_table(params, dressed_spectrum(params, spec))
-    rows = rate_table_rows(table)
+    columns = rate_table_columns(table)
     name = f"rates{tag}.csv"
-    columns = [np.array([row[j] for row in rows]) for j in range(len(_RATE_HEADER))]
-    _write_csv(os.path.join(config.output, name), _RATE_HEADER, columns)
+    _write_csv(os.path.join(config.output, name), list(columns), list(columns.values()))
     entry = _job_entry(tag, params, kT=table.kT, n_ladder=table.n_ladder, file=name)
     return [name], entry
 

@@ -150,17 +150,23 @@ def default_coherent_n_max(alpha):
     return int(np.ceil(lam + 6.0 * np.sqrt(lam) + 10.0))
 
 
-def coherent_state(alpha, qubit_level, spec, tail_tol=1e-10):
+# Poisson tail above n_max a truncated coherent state may discard
+COHERENT_TAIL_TOL = 1e-10
+# allowed |alpha|^2 + |beta|^2 - 1 of a single-excitation state
+NORM_TOL = 1e-12
+
+
+def coherent_state(alpha, qubit_level, spec):
     """Truncated, renormalized coherent state |alpha> (x) |s|.
 
     Raises TruncationError when the discarded Poisson tail above n_max
-    is not below tail_tol (checked analytically, not by summation).
+    is not below COHERENT_TAIL_TOL (checked analytically, not by summation).
     """
     tail = coherent_tail(alpha, spec.n_max)
-    if tail >= tail_tol:
+    if tail >= COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|^2 = {abs(alpha)**2:.6g} has tail weight "
-            f"{tail:.3e} above n_max = {spec.n_max} (tolerance {tail_tol:.1e})"
+            f"{tail:.3e} above n_max = {spec.n_max} (tolerance {COHERENT_TAIL_TOL:.1e})"
         )
     amps = np.zeros(spec.dim_field, dtype=complex)
     amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
@@ -172,11 +178,11 @@ def coherent_state(alpha, qubit_level, spec, tail_tol=1e-10):
     return np.kron(amps, qubit)
 
 
-def single_excitation_state(alpha, beta, spec, tol=1e-12):
+def single_excitation_state(alpha, beta, spec):
     """alpha |0,e> + beta |1,g>; coefficients must be normalized."""
     norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm2 - 1.0) > tol:
-        raise DomainError(f"|alpha|^2 + |beta|^2 = {norm2} is not 1 within {tol}")
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise DomainError(f"|alpha|^2 + |beta|^2 = {norm2} is not 1 within {NORM_TOL}")
     psi = np.zeros(spec.dim_total, dtype=complex)
     psi[spec.index(0, QUBIT_E)] = alpha
     psi[spec.index(1, QUBIT_G)] = beta

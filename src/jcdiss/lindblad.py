@@ -12,7 +12,6 @@ kron(B^T, A) vec(X), with vec(X) = X.flatten(order="F").
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,89 +159,18 @@ def build_rate_table(params, spectrum):
     )
 
 
-def rate_table_rows(table):
-    """Rows (n, a_n, b_n, d_n, gamma1..gamma6, gtilde1..gtilde6) for export."""
-    rows = []
-    for n in range(table.n_ladder):
-        rows.append(
-            (
-                n,
-                table.a[n],
-                table.b[n],
-                table.d[n],
-                table.gamma1,
-                table.gamma2,
-                table.gamma3[n],
-                table.gamma4[n],
-                table.gamma5[n],
-                table.gamma6[n],
-                table.gtilde1,
-                table.gtilde2,
-                table.gtilde3[n],
-                table.gtilde4[n],
-                table.gtilde5[n],
-                table.gtilde6[n],
-            )
-        )
-    return rows
-
-
-class JumpChannel(NamedTuple):
-    """One lowering operator of the dressed generator.
-
-    slot names the rate it pairs with ("gamma1".."gamma6", or "boundary"
-    for the truncation-edge drain); n is the ladder index (None for the
-    ground-manifold and boundary channels); operator carries the dressed
-    matrix-element weight, so the Lindblad term is rate * D(operator).
-    """
-
-    slot: str
-    n: Optional[int]
-    operator: np.ndarray
-
-
-def build_jump_operators(spectrum, spec):
-    """All lowering jumps of the dressed generator on the composite space.
-
-    Two ground-manifold jumps (weights s0, c0), four ladder jumps per
-    n = 0..n_max-2 (weights a_n, b_n, d_n, d_n), and two "boundary" drains
-    out of the bare remainder |n_max,e> (weights c*sqrt(n_max) and
-    -s*sqrt(n_max) into manifold n_max-1). The boundary drains keep the
-    truncated generator free of an artificial dark state; their effect on
-    any admissible run is bounded by the top-population guard. Raising
-    counterparts are the adjoints.
-    """
-    e0 = ground_vector(spec)
-    a, b, d = ladder_weights(spectrum)
-    chans = []
-
-    def outer(lo, hi):
-        return np.outer(lo, hi.conj())
-
-    ep0 = dressed_vector(spectrum, spec, 0, +1)
-    em0 = dressed_vector(spectrum, spec, 0, -1)
-    chans.append(JumpChannel("gamma1", None, spectrum.s[0] * outer(e0, ep0)))
-    chans.append(JumpChannel("gamma2", None, spectrum.c[0] * outer(e0, em0)))
-
-    for n in range(spectrum.n_manifolds - 1):
-        ep_lo = dressed_vector(spectrum, spec, n, +1)
-        em_lo = dressed_vector(spectrum, spec, n, -1)
-        ep_hi = dressed_vector(spectrum, spec, n + 1, +1)
-        em_hi = dressed_vector(spectrum, spec, n + 1, -1)
-        chans.append(JumpChannel("gamma3", n, a[n] * outer(ep_lo, ep_hi)))
-        chans.append(JumpChannel("gamma4", n, b[n] * outer(em_lo, em_hi)))
-        chans.append(JumpChannel("gamma5", n, d[n] * outer(em_lo, ep_hi)))
-        chans.append(JumpChannel("gamma6", n, d[n] * outer(ep_lo, em_hi)))
-
-    top = np.zeros(spec.dim_total, dtype=complex)
-    top[spec.index(spec.n_max, QUBIT_E)] = 1.0
-    nm = spectrum.n_manifolds - 1
-    ep_nm = dressed_vector(spectrum, spec, nm, +1)
-    em_nm = dressed_vector(spectrum, spec, nm, -1)
-    root = np.sqrt(float(spec.n_max))
-    chans.append(JumpChannel("boundary", None, spectrum.c[nm] * root * outer(ep_nm, top)))
-    chans.append(JumpChannel("boundary", None, -spectrum.s[nm] * root * outer(em_nm, top)))
-    return chans
+def rate_table_columns(table):
+    """Columns of the exported rate table keyed by their CSV header, one
+    row per ladder index n: n, a_n, b_n, d_n, gamma1..gamma6 and
+    gtilde1..gtilde6 (the ground-manifold rates 1 and 2 repeat on every
+    row)."""
+    rows = table.n_ladder
+    columns = {"n": np.arange(rows), "a_n": table.a, "b_n": table.b, "d_n": table.d}
+    for prefix in ("gamma", "gtilde"):
+        for i in range(1, 7):
+            name = f"{prefix}{i}"
+            columns[name] = np.broadcast_to(getattr(table, name), (rows,))
+    return columns
 
 
 def vec(rho):
@@ -314,77 +242,63 @@ def _assemble_superoperator(hamiltonian, channels):
     return lsup
 
 
-def build_microscopic_liouvillian(params, spectrum, spec):
-    """Dressed-basis generator: dressed jumps with Bohr-resolved rates.
+def _dressed_channels(params, spectrum, spec):
+    """(rate, jump) list of the dressed generator.
 
-    Downward channels use gamma_i(nu); at finite temperature each channel
-    gains its upward (adjoint) partner with gtilde_i(nu), so detailed
-    balance holds channel by channel. The boundary drains are downward
-    only.
+    Every transition is a jump weight * |lower><upper| with a downward
+    and an upward rate. The two ground-manifold jumps and the four ladder
+    jumps per n take their weights and rates from the RateTable. Last
+    come the two drains out of the bare remainder |n_max,e> (weights
+    c*sqrt(n_max) and -s*sqrt(n_max) into manifold n_max-1), downward
+    only, at the flat-bath rate of their own Bohr frequency; they keep
+    the truncated generator free of an artificial dark state, and their
+    effect on any admissible run is bounded by the top-population guard.
+    Each jump enters at its downward rate and, at finite temperature,
+    its adjoint at the upward rate, so detailed balance holds channel by
+    channel.
     """
     table = build_rate_table(params, spectrum)
-    jumps = build_jump_operators(spectrum, spec)
-
-    def slot_rates(slot, n):
-        if slot == "gamma1":
-            return table.gamma1, table.gtilde1
-        if slot == "gamma2":
-            return table.gamma2, table.gtilde2
-        if slot == "gamma3":
-            return table.gamma3[n], table.gtilde3[n]
-        if slot == "gamma4":
-            return table.gamma4[n], table.gtilde4[n]
-        if slot == "gamma5":
-            return table.gamma5[n], table.gtilde5[n]
-        if slot == "gamma6":
-            return table.gamma6[n], table.gtilde6[n]
-        raise ValueError(slot)
+    manifolds = range(spectrum.n_manifolds)
+    plus = [dressed_vector(spectrum, spec, n, +1) for n in manifolds]
+    minus = [dressed_vector(spectrum, spec, n, -1) for n in manifolds]
+    e0 = ground_vector(spec)
+    transitions = [
+        (table.gamma1, table.gtilde1, spectrum.s[0], e0, plus[0]),
+        (table.gamma2, table.gtilde2, spectrum.c[0], e0, minus[0]),
+    ]
+    for n in range(table.n_ladder):
+        transitions += [
+            (table.gamma3[n], table.gtilde3[n], table.a[n], plus[n], plus[n + 1]),
+            (table.gamma4[n], table.gtilde4[n], table.b[n], minus[n], minus[n + 1]),
+            (table.gamma5[n], table.gtilde5[n], table.d[n], minus[n], plus[n + 1]),
+            (table.gamma6[n], table.gtilde6[n], table.d[n], plus[n], minus[n + 1]),
+        ]
+    if params.gamma > 0:
+        top = np.zeros(spec.dim_total, dtype=complex)
+        top[spec.index(spec.n_max, QUBIT_E)] = 1.0
+        nm = spectrum.n_manifolds - 1
+        root = np.sqrt(float(spec.n_max))
+        for weight, lower, target in (
+            (spectrum.c[nm] * root, plus[nm], spectrum.eps_plus[nm]),
+            (-spectrum.s[nm] * root, minus[nm], spectrum.eps_minus[nm]),
+        ):
+            nu = spectrum.eps_top - target
+            drain = (1.0 + thermal_occupation(nu, params.kT)) * params.gamma
+            transitions.append((drain, 0.0, weight, lower, top))
 
     channels = []
-    kT = params.kT
-    for ch in jumps:
-        if ch.slot == "boundary":
-            # flat-bath downward rate at the true Bohr frequency; weight is
-            # already inside the operator
-            if params.gamma > 0:
-                nu = spectrum.eps_top - _target_energy(spectrum, spec, ch.operator)
-                rate = (1.0 + thermal_occupation(nu, kT)) * params.gamma
-                channels.append((rate, ch.operator))
-            continue
-        down, up = slot_rates(ch.slot, ch.n)
+    for down, up, weight, lower, upper in transitions:
+        jump = weight * np.outer(lower, upper.conj())
         if down != 0.0:
-            channels.append((down, ch.operator))
+            channels.append((down, jump))
         if up != 0.0:
-            channels.append((up, ch.operator.conj().T))
-
-    h = build_jc_hamiltonian(params, spec)
-    matrix = _assemble_superoperator(h, channels)
-    return Liouvillian(
-        kind="microscopic",
-        spec=spec,
-        params=params,
-        hamiltonian=h,
-        channels=channels,
-        matrix=matrix,
-    )
+            channels.append((up, jump.conj().T))
+    return channels
 
 
-def _target_energy(spectrum, spec, op):
-    # dressed energy the boundary drain |e_{nm,+/-}><top| lands on
-    nm = spectrum.n_manifolds - 1
-    ep = dressed_vector(spectrum, spec, nm, +1)
-    overlap = abs(np.vdot(ep, op[:, spec.index(spec.n_max, QUBIT_E)]))
-    if overlap > 1e-12:
-        return spectrum.eps_plus[nm]
-    return spectrum.eps_minus[nm]
-
-
-def build_phenomenological_liouvillian(params, spec):
-    """Bare-cavity damping added to the coupled Hamiltonian.
-
-    L[rho] = -i[H, rho] + gamma (nbar+1) D(a) + gamma nbar D(a^dag), with
-    nbar = nbar_at_omega.
-    """
+def _bare_channels(params, spec):
+    """(rate, jump) list of bare-cavity damping: gamma (nbar+1) D(a) plus
+    gamma nbar D(a^dag), with nbar = nbar_at_omega."""
     a = build_annihilation(spec)
     nbar = params.nbar_at_omega
     channels = []
@@ -392,26 +306,30 @@ def build_phenomenological_liouvillian(params, spec):
         channels.append((params.gamma * (nbar + 1.0), a))
         if nbar > 0:
             channels.append((params.gamma * nbar, a.conj().T.copy()))
+    return channels
+
+
+def build_liouvillian(kind, params, spec):
+    """The Lindblad generator L[rho] = -i[H, rho] + sum_k rate_k D(J_k)
+    on the composite space, with H the coupled Hamiltonian and the
+    channels of the given kind: "microscopic" (jumps between dressed
+    states with Bohr-resolved rates) or "phenomenological" (bare-cavity
+    damping)."""
+    if kind == "microscopic":
+        channels = _dressed_channels(params, dressed_spectrum(params, spec), spec)
+    elif kind == "phenomenological":
+        channels = _bare_channels(params, spec)
+    else:
+        raise DomainError(f"unknown Liouvillian kind {kind!r}")
     h = build_jc_hamiltonian(params, spec)
-    matrix = _assemble_superoperator(h, channels)
     return Liouvillian(
-        kind="phenomenological",
+        kind=kind,
         spec=spec,
         params=params,
         hamiltonian=h,
         channels=channels,
-        matrix=matrix,
+        matrix=_assemble_superoperator(h, channels),
     )
-
-
-def build_liouvillian(kind, params, spec):
-    """Convenience dispatcher over the two generator kinds."""
-    if kind == "microscopic":
-        spectrum = dressed_spectrum(params, spec)
-        return build_microscopic_liouvillian(params, spectrum, spec)
-    if kind == "phenomenological":
-        return build_phenomenological_liouvillian(params, spec)
-    raise DomainError(f"unknown Liouvillian kind {kind!r}")
 
 
 def trace_functional(dim):

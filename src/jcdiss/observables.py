@@ -75,13 +75,15 @@ def field_entropy(rho, spec):
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# largest population outside the one-photon subspace that concurrence accepts
+LEAK_TOL = 1e-6
 
 
-def concurrence(rho, spec, leak_tol=1e-6):
+def concurrence(rho, spec):
     """Qubit-field concurrence on the two-level field subspace {0, 1}.
 
     The state is projected onto span{|0,g>, |0,e>, |1,g>, |1,e>} and
-    renormalized; SubspaceLeakError is raised if more than leak_tol of
+    renormalized; SubspaceLeakError is raised if more than LEAK_TOL of
     the population lies outside (the measure is only meaningful for
     states confined to at most one photon). The projected 4x4 problem is
     the standard two-qubit concurrence.
@@ -89,11 +91,11 @@ def concurrence(rho, spec, leak_tol=1e-6):
     rho = check_operator_stack(rho, spec)
     sub = np.array(rho[..., :4, :4])
     leak = 1.0 - np.trace(sub, axis1=-2, axis2=-1).real
-    bad = np.flatnonzero(leak >= leak_tol)
+    bad = np.flatnonzero(leak >= LEAK_TOL)
     if bad.size:
         raise SubspaceLeakError(
             f"{leak.flat[bad[0]]:.3e} of the population lies outside the "
-            f"one-photon subspace (tolerance {leak_tol:.1e})"
+            f"one-photon subspace (tolerance {LEAK_TOL:.1e})"
         )
     sub = 0.5 * (sub + np.swapaxes(sub, -2, -1).conj())
     sub /= np.trace(sub, axis1=-2, axis2=-1).real[..., None, None]
@@ -180,14 +182,18 @@ class PhaseGrid:
     mass: float
 
 
-def husimi_q(rho, spec, grid, coverage_tol=0.98):
+# share of the Husimi mass below which the grid is reported as too small
+COVERAGE_TOL = 0.98
+
+
+def husimi_q(rho, spec, grid):
     """Husimi function Q(alpha) = <alpha| rho_f |alpha> / pi of the reduced
     field state on a square grid.
 
     Coherent-state amplitudes are evaluated exactly on the truncated
     space (no renormalization), which keeps the integral of Q equal to
     the trace of the truncated state. A warning is emitted when the grid
-    captures less than coverage_tol of the total mass.
+    captures less than COVERAGE_TOL of the total mass.
     """
     check_operator_shape(rho, spec)
     rf = partial_trace_qubit(rho, spec)
@@ -208,7 +214,7 @@ def husimi_q(rho, spec, grid, coverage_tol=0.98):
 
     dx = x[1] - x[0]
     mass = float(values.sum() * dx * dx)
-    if mass < coverage_tol:
+    if mass < COVERAGE_TOL:
         warnings.warn(
             f"phase-space grid captures only {mass:.4f} of the state; "
             "increase the extent",

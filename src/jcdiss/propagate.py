@@ -83,6 +83,11 @@ class EvolutionResult:
 
 
 AMPLIFICATION_LIMIT = 1e10
+# largest population the truncation guard lets the top two Fock levels hold
+TRUNCATION_TOL = 1e-6
+# steady_state: bound on ||L[rho]||_F, and the kernel gap in units of gamma
+STEADY_RESIDUAL_TOL = 1e-9
+DEGENERACY_RATIO = 1e-8
 
 # byte budget of one stack of states evaluated and checked together
 STACK_BYTES = 8 << 20
@@ -101,14 +106,11 @@ class SpectralDecomposition:
     dim: int
     blocks: list
 
-    def eigenvalues(self):
-        return np.concatenate([w for (_, w, _, _) in self.blocks])
-
-    def expand(self, v0, amplification_limit=AMPLIFICATION_LIMIT):
+    def expand(self, v0):
         """Mode amplitudes of v0 over the blocks it touches.
 
         The expansion of v0 over each block's eigenvectors is required to
-        be numerically benign: if sum_k |V||c| exceeds amplification_limit
+        be numerically benign: if sum_k |V||c| exceeds AMPLIFICATION_LIMIT
         times the state norm, cancellation would eat the accuracy budget
         and DefectiveLiouvillianError asks the caller to integrate
         instead. This is the operative form of the "numerically
@@ -128,10 +130,10 @@ class SpectralDecomposition:
                 continue
             coef = sla.lu_solve(lu, vb)
             amp = np.linalg.norm(np.abs(vmat) @ np.abs(coef)) / max(norm0, 1e-300)
-            if not np.isfinite(amp) or amp > amplification_limit:
+            if not np.isfinite(amp) or amp > AMPLIFICATION_LIMIT:
                 raise DefectiveLiouvillianError(
                     f"eigenvector expansion amplifies the state by {amp:.3e} "
-                    f"(limit {amplification_limit:.1e}) in a block of size "
+                    f"(limit {AMPLIFICATION_LIMIT:.1e}) in a block of size "
                     f"{idx.size}: near-degenerate Jordan structure; "
                     "fall back to the rk4 integrator"
                 )
@@ -202,10 +204,9 @@ class _StackGuards:
     """Trace drift, Hermiticity defect and top-of-ladder population of
     stacks of states, with the running maxima evolve reports."""
 
-    def __init__(self, spec, truncation_guard, truncation_tol):
+    def __init__(self, spec, truncation_guard):
         self.top_idx = _top_indices(spec)
         self.truncation_guard = truncation_guard
-        self.truncation_tol = truncation_tol
         self.drift_max = 0.0
         self.herm_max = 0.0
         self.top_max = 0.0
@@ -225,12 +226,12 @@ class _StackGuards:
         levels hold more than the tolerance."""
         top = stack[:, self.top_idx, self.top_idx].real.sum(axis=1)
         if self.truncation_guard:
-            bad = np.flatnonzero(top > self.truncation_tol)
+            bad = np.flatnonzero(top > TRUNCATION_TOL)
             if bad.size:
                 k = bad[0]
                 raise TruncationError(
                     f"top two Fock levels hold {top[k]:.3e} population at "
-                    f"t={tc[k]:.6g}; raise n_max (tolerance {self.truncation_tol:.1e})"
+                    f"t={tc[k]:.6g}; raise n_max (tolerance {TRUNCATION_TOL:.1e})"
                 )
         self.top_max = max(self.top_max, float(top.max()))
 
@@ -249,7 +250,6 @@ def evolve(
     method="spectral",
     observer: Optional[Callable] = None,
     truncation_guard=True,
-    truncation_tol=1e-6,
     chunk=None,
 ):
     """Propagate a state through the generator and sample it at times.
@@ -261,25 +261,19 @@ def evolve(
     the rk4 route hands out one state at a time. States are stored only
     when no observer is given. method is "spectral" or "rk4". The
     truncation guard aborts the run if the top two Fock levels ever hold
-    more than truncation_tol of the population.
+    more than TRUNCATION_TOL of the population.
     """
     times = _check_times(times)
     rho0 = _as_density(state, liouvillian.dim)
     if method == "spectral":
-        return evolve_spectral(
-            liouvillian, rho0, times, observer, truncation_guard, truncation_tol,
-            chunk,
-        )
+        return evolve_spectral(liouvillian, rho0, times, observer, truncation_guard, chunk)
     if method == "rk4":
-        return evolve_rk4(
-            liouvillian, rho0, times, observer, truncation_guard, truncation_tol,
-        )
+        return evolve_rk4(liouvillian, rho0, times, observer, truncation_guard)
     raise ParameterError(f"unknown method {method!r}")
 
 
 def evolve_spectral(
-    liouvillian, rho0, times, observer=None, truncation_guard=True,
-    truncation_tol=1e-6, chunk=None,
+    liouvillian, rho0, times, observer=None, truncation_guard=True, chunk=None
 ):
     """Spectral propagation at arbitrary times; states are exact up to the
     conditioning of the eigenbasis, which the amplification gate of
@@ -291,7 +285,7 @@ def evolve_spectral(
         per_state = 16 * dim * dim
         chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
     expansion = decomp.expand(vec(rho0))
-    guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
+    guards = _StackGuards(liouvillian.spec, truncation_guard)
     states = np.empty((times.size, dim, dim), complex) if observer is None else None
     for start in range(0, times.size, chunk):
         tc = times[start : start + chunk]
@@ -329,10 +323,7 @@ def default_time_step(liouvillian):
     return 0.005 / max(spread + decay, 1e-9)
 
 
-def evolve_rk4(
-    liouvillian, rho0, times, observer=None, truncation_guard=True,
-    truncation_tol=1e-6,
-):
+def evolve_rk4(liouvillian, rho0, times, observer=None, truncation_guard=True):
     """Fixed-step RK4 propagation with exact landing on each output time.
 
     Between consecutive outputs the interval is split into equal steps no
@@ -346,7 +337,7 @@ def evolve_rk4(
     generator = _kernels.rotating_generator(liouvillian)
     omega = float(liouvillian.params.omega)
     exc = liouvillian.spec.excitations()
-    guards = _StackGuards(liouvillian.spec, truncation_guard, truncation_tol)
+    guards = _StackGuards(liouvillian.spec, truncation_guard)
     states = np.empty((times.size, dim, dim), complex) if observer is None else None
     steps_total = 0
 
@@ -388,15 +379,15 @@ def evolve_rk4(
     )
 
 
-def steady_state(liouvillian, residual_tol=1e-9, degeneracy_ratio=1e-8):
+def steady_state(liouvillian):
     """Unique stationary state of the generator.
 
     The kernel is located in the spectral decomposition; the second
-    smallest eigenvalue magnitude must clear degeneracy_ratio * gamma or
+    smallest eigenvalue magnitude must clear DEGENERACY_RATIO * gamma or
     DegenerateKernelError is raised (a degenerate kernel means the
     stationary state is not unique, e.g. at g = 0 where the qubit
     decouples). The returned state is Hermitized, normalized, and checked
-    to satisfy ||L[rho]||_F < residual_tol.
+    to satisfy ||L[rho]||_F < STEADY_RESIDUAL_TOL.
     """
     decomp = spectral_decomposition(liouvillian)
     mags = []
@@ -407,7 +398,7 @@ def steady_state(liouvillian, residual_tol=1e-9, degeneracy_ratio=1e-8):
     (m0, b0, j0), (m1, _, _) = mags[0], mags[1]
     gamma = getattr(liouvillian.params, "gamma", 0.0)
     scale = gamma if gamma > 0 else max(m for m, _, _ in mags[-1:]) or 1.0
-    thresh = degeneracy_ratio * scale
+    thresh = DEGENERACY_RATIO * scale
     if m1 <= thresh:
         raise DegenerateKernelError(
             f"two eigenvalues within {thresh:.3e} of zero "
@@ -428,9 +419,10 @@ def steady_state(liouvillian, residual_tol=1e-9, degeneracy_ratio=1e-8):
         raise DegenerateKernelError("kernel vector is traceless; no physical stationary state")
     rho /= tr
     resid = np.linalg.norm(unvec(liouvillian.matrix @ vec(rho), decomp.dim))
-    if resid > residual_tol:
+    if resid > STEADY_RESIDUAL_TOL:
         raise DefectiveLiouvillianError(
-            f"stationary-state residual ||L[rho]||_F = {resid:.3e} exceeds {residual_tol:.1e}"
+            f"stationary-state residual ||L[rho]||_F = {resid:.3e} exceeds "
+            f"{STEADY_RESIDUAL_TOL:.1e}"
         )
     return rho
 

@@ -1,5 +1,6 @@
 """Scenario runner: config validation, outputs, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from jcdiss import cli
 from jcdiss.errors import ConfigError, DefectiveLiouvillianError
 from jcdiss.propagate import SingleExcitationAmplitudes, analytic_microscopic
 from jcdiss.hilbert import SpaceSpec
+from jcdiss.observables import OBSERVABLES
 
-from conftest import load_scenario, read_csv
+from conftest import REPO_ROOT, load_scenario, read_csv
 
 
 def _tiny_raw(**overrides):
@@ -160,7 +162,7 @@ def test_spectral_failure_falls_back_to_rk4(tmp_path, monkeypatch):
         _tiny_config(tmp_path, "rk4", n_points=11, method="rk4")
     )
 
-    def refuse(self, v0, amplification_limit=None):
+    def refuse(self, v0):
         raise DefectiveLiouvillianError("forced failure")
 
     monkeypatch.setattr(jcdiss.propagate.SpectralDecomposition, "expand", refuse)
@@ -399,3 +401,18 @@ def test_console_module_entry(tmp_path):
     )
     assert out.returncode == 0
     assert "evolve: wrote" in out.stdout
+
+
+def test_benchmark_trace_sites_resolve():
+    # the benchmark's traced mode wraps these names at run time; one that
+    # no longer resolves would turn its layer metric null
+    path = os.path.join(REPO_ROOT, "jcbench", "tracer.py")
+    module_spec = importlib.util.spec_from_file_location("jcbench_tracer", path)
+    tracer = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracer)
+    for name, sites in tracer.SITES.items():
+        for owner, attr in sites:
+            target = tracer._resolve(owner)
+            assert callable(getattr(target, attr, None)), (name, owner, attr)
+    for name in tracer.OBSERVABLE_NAMES:
+        assert name in OBSERVABLES, name

@@ -22,11 +22,10 @@ from jcdiss.dressed import (
     dressed_spectrum,
 )
 from jcdiss.lindblad import (
-    build_jump_operators,
     build_liouvillian,
     build_rate_table,
     ladder_weights,
-    rate_table_rows,
+    rate_table_columns,
     thermal_occupation,
     trace_functional,
     unvec,
@@ -149,32 +148,41 @@ def test_cross_weights_coincide_on_resonance():
 
 
 def test_jump_operators_lower_excitation_by_one():
+    # every jump, boundary drains included, is nonzero and lowers the
+    # excitation by one, on and off resonance
     spec = SpaceSpec(6)
-    spectrum = dressed_spectrum(_params(delta=1.0), spec)
     exc = spec.excitations()
-    for ch in build_jump_operators(spectrum, spec):
-        rows, cols = np.nonzero(np.abs(ch.operator) > 1e-14)
-        assert rows.size > 0
-        assert np.all(exc[cols] - exc[rows] == 1)
+    for delta in (0.0, 1.0, -2.0):
+        liouvillian = build_liouvillian("microscopic", _params(delta=delta), spec)
+        for _, j in liouvillian.channels:
+            rows, cols = np.nonzero(np.abs(j) > 1e-14)
+            assert rows.size > 0
+            assert np.all(exc[cols] - exc[rows] == 1)
 
 
-def test_jump_operator_slots_and_counts():
-    spec = SpaceSpec(6)
-    spectrum = dressed_spectrum(_params(), spec)
-    chans = build_jump_operators(spectrum, spec)
-    slots = [ch.slot for ch in chans]
-    assert slots.count("gamma1") == 1 and slots.count("gamma2") == 1
-    for slot in ("gamma3", "gamma4", "gamma5", "gamma6"):
-        assert slots.count(slot) == spec.n_max - 1
-    assert slots.count("boundary") == 2
+def test_zero_temperature_channel_count():
+    # two ground-manifold jumps, four ladder jumps per n and the two
+    # boundary drains, none with a raising partner
+    for n_max in (1, 2, 6):
+        liouvillian = build_liouvillian("microscopic", _params(), SpaceSpec(n_max))
+        assert len(liouvillian.channels) == 4 * n_max
 
 
-def test_rate_table_rows_shape():
+def test_rate_table_columns_shape():
     params = _params(nbar=0.3)
     table = build_rate_table(params, dressed_spectrum(params, SpaceSpec(6)))
-    rows = rate_table_rows(table)
-    assert len(rows) == table.n_ladder == 5
-    assert all(len(row) == 16 for row in rows)
+    columns = rate_table_columns(table)
+    header = (
+        ["n", "a_n", "b_n", "d_n"]
+        + [f"gamma{i}" for i in range(1, 7)]
+        + [f"gtilde{i}" for i in range(1, 7)]
+    )
+    assert list(columns) == header
+    assert table.n_ladder == 5
+    assert all(np.shape(col) == (5,) for col in columns.values())
+    assert np.array_equal(columns["n"], np.arange(5))
+    assert np.all(columns["gamma1"] == table.gamma1)
+    assert np.array_equal(columns["gtilde4"], table.gtilde4)
 
 
 @pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])

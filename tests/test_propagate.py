@@ -46,11 +46,13 @@ def _params(delta=0.0, gamma=0.2, nbar=0.0, g=1.0):
 
 
 def _null_liouvillian(spec):
+    # omega = 1 keeps the rotating frame nonzero for rk4 to unwind while
+    # its step rule, which sees omega * N_max, stays at a few thousand steps
     d = spec.dim_total
     return Liouvillian(
         kind="phenomenological",
         spec=spec,
-        params=_params(gamma=0.0),
+        params=SystemParams(omega0=1.0, omega=1.0),
         hamiltonian=np.zeros((d, d), dtype=complex),
         channels=[],
         matrix=sp.csr_matrix((d * d, d * d), dtype=complex),

@@ -2,17 +2,21 @@
 
 Every Lindblad semigroup is trace-norm contractive and its stationary
 state is a fixed point, so ||rho(t) - rho_ss||_1 can never grow; the two
-propagation routes must agree, and every state must stay a unit-trace
-Hermitian matrix. The truncation guard is off: the properties hold for
-the truncated generator whatever population reaches the top levels.
+propagation routes must agree, and every state must stay a unit-trace,
+Hermitian, positive semidefinite matrix. The truncation guard is off: the
+properties hold for the truncated generator whatever population reaches
+the top levels. At finite temperature every raising channel of the
+dressed generator is the adjoint of a lowering one, at the detailed
+balance rate of its Bohr frequency.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jcdiss.dressed import SystemParams
-from jcdiss.hilbert import SpaceSpec
+from jcdiss.hilbert import QUBIT_E, SpaceSpec
 from jcdiss.lindblad import build_liouvillian
 from jcdiss.propagate import evolve, steady_state, trace_distance
 
@@ -56,5 +60,49 @@ def test_routes_agree_and_contract_to_the_steady_state(delta, gamma, nbar, n_max
             for rho in (a, b):
                 assert abs(np.trace(rho) - 1.0) < 1e-10, kind
                 assert np.abs(rho - rho.conj().T).max() < 1e-10, kind
+                assert np.linalg.eigvalsh(rho).min() >= -1e-10, kind
             distances.append(2.0 * trace_distance(a, rho_ss))
         assert np.all(np.diff(distances) <= 1e-10), (kind, distances)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    gamma=st.floats(0.02, 1.9),
+    nbar=st.floats(0.05, 1.0),
+    n_max=st.integers(1, 6),
+)
+def test_microscopic_channels_pair_in_detailed_balance(delta, gamma, nbar, n_max):
+    spec = SpaceSpec(n_max)
+    params = SystemParams(
+        omega0=100.0 + delta, omega=100.0, gamma=gamma, nbar_at_omega=nbar
+    )
+    liouvillian = build_liouvillian("microscopic", params, spec)
+    h = liouvillian.hamiltonian
+    exc = spec.excitations()
+    lowering, raising = [], []
+    for rate, j in liouvillian.channels:
+        rows, cols = np.nonzero(j)
+        step = np.unique(exc[cols] - exc[rows])
+        assert step.size == 1 and abs(step[0]) == 1
+        (lowering if step[0] == 1 else raising).append((rate, j))
+
+    def bohr(j):
+        # energy the jump takes out of the system
+        jj = j.conj().T @ j
+        return np.trace(jj @ h - j @ j.conj().T @ h).real / np.trace(jj).real
+
+    unpaired = list(range(len(lowering)))
+    for up, j_up in raising:
+        match = [i for i in unpaired if np.array_equal(j_up, lowering[i][1].conj().T)]
+        assert len(match) == 1
+        down, j_down = lowering[match[0]]
+        nu = bohr(j_down)
+        assert up / down == pytest.approx(np.exp(-nu / params.kT), rel=1e-9)
+        unpaired.remove(match[0])
+    # only the two drains out of |n_max,e> have no raising partner
+    top = spec.index(n_max, QUBIT_E)
+    assert len(unpaired) == 2
+    for i in unpaired:
+        _, cols = np.nonzero(lowering[i][1])
+        assert np.all(cols == top)
