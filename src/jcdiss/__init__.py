@@ -2,9 +2,10 @@
 damping models.
 
 The package builds both Lindblad generators on a truncated qubit-cavity
-space, propagates them spectrally or by fixed-step RK4 on the same sparse
-superoperator, and provides closed-form single-excitation solutions plus
-the observables needed to compare the two damping models.
+space and propagates them spectrally (the microscopic one in its dressed
+frame) or by fixed-step RK4 on the sparse superoperator. It also
+provides closed-form single-excitation solutions and the observables
+needed to compare the two damping models.
 """
 
 from .errors import (

@@ -566,7 +566,9 @@ def _observed_run(liouvillian, state, times, method, observe):
 
     A spectral run that refuses the generator is redone with rk4. It
     raises in SpectralDecomposition.expand, before any chunk is
-    observed, so the rerun reuses the same observer and audit.
+    observed, so the rerun reuses the same observer and audit. Only the
+    phenomenological generator goes through expand; the microscopic one
+    is propagated in the dressed frame and is never refused.
     """
     audit = _StateAudit(liouvillian.spec)
 

@@ -8,21 +8,24 @@ Two generators are built on the same composite space:
   temperature) bolted onto the coupled Hamiltonian.
 
 Superoperators use column-stacking vectorization: vec(A X B) =
-kron(B^T, A) vec(X), with vec(X) = X.flatten(order="F").
+kron(B^T, A) vec(X), with vec(X) = X.flatten(order="F"). They are
+assembled only on demand: the microscopic generator also carries its
+exact split in the dressed basis (DressedSplit), which is all its
+spectral propagation and steady state need.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BohrFrequencyError, DomainError
-from .hilbert import QUBIT_E, build_annihilation
+from .hilbert import build_annihilation
 from .dressed import (
     build_jc_hamiltonian,
+    dressed_basis_matrix,
+    dressed_energies,
     dressed_spectrum,
-    dressed_vector,
-    ground_vector,
 )
 
 
@@ -183,23 +186,112 @@ def unvec(v, dim):
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
-@dataclass
-class Liouvillian:
-    """A Lindblad generator with both superoperator and structured forms.
+@dataclass(frozen=True)
+class DressedSplit:
+    """The microscopic generator in the dressed basis U of
+    dressed_basis_matrix.
 
-    matrix is the sparse dim_super x dim_super superoperator (column
-    stacking); both propagation routes step it. hamiltonian and channels
-    [(rate, jump operator)] carry the structured form used by apply and
-    by the RK4 step-size rule.
+    Every jump is w |E_a><E_b| between eigenstates of H, so the
+    generator never mixes dressed populations with dressed coherences:
+    the populations p follow dp/dt = rates @ p (rates[a, b] is the rate
+    from level b to level a, and the diagonal is -decay), and each
+    coherence rho~_jk decays on its own at coherence_rates()[j, k] =
+    -i(E_j - E_k) - (decay_j + decay_k)/2. U is real and block diagonal
+    in the natural index order: it keeps indices 0 (|0,g>) and dim-1
+    (|n_max,e>) and turns each pair (2n+1, 2n+2) by [[c_n, -s_n],
+    [s_n, c_n]].
     """
 
-    kind: str
-    spec: object
-    params: object
-    hamiltonian: np.ndarray
-    channels: list
-    matrix: sp.csr_matrix
-    _decomp: object = field(default=None, repr=False, compare=False)
+    energies: np.ndarray
+    rates: np.ndarray
+    decay: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+
+    def coherence_rates(self):
+        e, g = self.energies, self.decay
+        return -1j * (e[:, None] - e[None, :]) - 0.5 * (g[:, None] + g[None, :])
+
+    def to_bare(self, stack):
+        """U x U^T of a matrix or a stack (..., dim, dim), as a new
+        C-contiguous complex array."""
+        return _turn_pairs(stack, self.c, self.s)
+
+    def to_dressed(self, stack):
+        """U^T x U of a matrix or a stack (..., dim, dim)."""
+        return _turn_pairs(stack, self.c, -self.s)
+
+
+# _turn_pairs works through a stack this many bytes of states at a time
+_TURN_BYTES = 1 << 20
+
+
+def _turn_pairs(x, c, s):
+    """U x U^T for the U of DressedSplit with sines s, on a matrix or a
+    stack (..., dim, dim), as a new C-contiguous complex array.
+
+    Each batch of about _TURN_BYTES takes one pass over the rows and one
+    over the columns, each on a copy that puts the turned index first so
+    that every pair of rows is one long contiguous run; the batches keep
+    the copies small next to the stack. O(dim^2) per matrix, and every
+    entry is rounded the same way whatever the stack size.
+    """
+    x = np.asarray(x)
+    dim = x.shape[-1]
+    flat = x.reshape(-1, dim, dim)
+    out = np.empty(flat.shape, dtype=complex)
+    batch = max(1, _TURN_BYTES // (16 * dim * dim))
+    for i in range(0, flat.shape[0], batch):
+        y = np.array(flat[i : i + batch].transpose(1, 0, 2), dtype=complex, order="C")
+        _turn_leading(y, c, s)
+        y = np.array(y.transpose(2, 1, 0), order="C")
+        _turn_leading(y, c, s)
+        out[i : i + batch] = y.transpose(1, 2, 0)
+    return out.reshape(x.shape)
+
+
+def _turn_leading(x, c, s):
+    """x <- U x along the leading axis, in place on a C-contiguous complex
+    array: rows p = 2n+1 and q = 2n+2 become c p - s q and s p + c q."""
+    xr = x.view(np.float64)
+    p, q = xr[1:-1:2], xr[2:-1:2]
+    shape = (-1,) + (1,) * (xr.ndim - 1)
+    c, s = c.reshape(shape), s.reshape(shape)
+    p_old = p.copy()
+    p *= c
+    p -= s * q
+    q *= c
+    q += s * p_old
+
+
+class Liouvillian:
+    """A Lindblad generator with structured and superoperator forms.
+
+    hamiltonian and channels [(rate, jump operator)] carry the structured
+    form used by apply and by the RK4 step-size rule. matrix is the
+    sparse dim_super x dim_super superoperator (column stacking) that the
+    block eigendecomposition and RK4 step; it is assembled on first
+    access and cached. dressed is the DressedSplit of the microscopic
+    generator (None for the phenomenological one): with it, spectral
+    propagation and the steady state never assemble matrix.
+    """
+
+    def __init__(self, kind, spec, params, hamiltonian, channels,
+                 matrix=None, dressed=None):
+        self.kind = kind
+        self.spec = spec
+        self.params = params
+        self.hamiltonian = hamiltonian
+        self.channels = channels
+        self.dressed = dressed
+        self._matrix = matrix
+        self._decomp = None
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = _assemble_superoperator(self.hamiltonian, self.channels)
+        return self._matrix
 
     @property
     def dim(self):
@@ -207,7 +299,7 @@ class Liouvillian:
 
     @property
     def dim_super(self):
-        return self.matrix.shape[0]
+        return self.dim * self.dim
 
     def dense(self):
         return self.matrix.toarray()
@@ -242,58 +334,83 @@ def _assemble_superoperator(hamiltonian, channels):
     return lsup
 
 
-def _dressed_channels(params, spectrum, spec):
-    """(rate, jump) list of the dressed generator.
+def _dressed_transitions(params, spectrum, spec):
+    """(down, up, weight, lower, upper) of every transition of the dressed
+    generator: the jump weight * |lower><upper| with its downward and
+    upward rate, where lower and upper index the columns of
+    dressed_basis_matrix (|e_0> is 0, |e_{n,+}> is 2n+1, |e_{n,-}> is 2n+2
+    and |n_max,e> is dim-1).
 
-    Every transition is a jump weight * |lower><upper| with a downward
-    and an upward rate. The two ground-manifold jumps and the four ladder
-    jumps per n take their weights and rates from the RateTable. Last
-    come the two drains out of the bare remainder |n_max,e> (weights
-    c*sqrt(n_max) and -s*sqrt(n_max) into manifold n_max-1), downward
-    only, at the flat-bath rate of their own Bohr frequency; they keep
-    the truncated generator free of an artificial dark state, and their
-    effect on any admissible run is bounded by the top-population guard.
-    Each jump enters at its downward rate and, at finite temperature,
-    its adjoint at the upward rate, so detailed balance holds channel by
-    channel.
+    The two ground-manifold jumps and the four ladder jumps per n take
+    their weights and rates from the RateTable. Last come the two drains
+    out of the bare remainder |n_max,e> (weights c*sqrt(n_max) and
+    -s*sqrt(n_max) into manifold n_max-1), downward only, at the
+    flat-bath rate of their own Bohr frequency; they keep the truncated
+    generator free of an artificial dark state, and their effect on any
+    admissible run is bounded by the top-population guard.
     """
     table = build_rate_table(params, spectrum)
-    manifolds = range(spectrum.n_manifolds)
-    plus = [dressed_vector(spectrum, spec, n, +1) for n in manifolds]
-    minus = [dressed_vector(spectrum, spec, n, -1) for n in manifolds]
-    e0 = ground_vector(spec)
     transitions = [
-        (table.gamma1, table.gtilde1, spectrum.s[0], e0, plus[0]),
-        (table.gamma2, table.gtilde2, spectrum.c[0], e0, minus[0]),
+        (table.gamma1, table.gtilde1, spectrum.s[0], 0, 1),
+        (table.gamma2, table.gtilde2, spectrum.c[0], 0, 2),
     ]
     for n in range(table.n_ladder):
+        plus, minus = 2 * n + 1, 2 * n + 2
         transitions += [
-            (table.gamma3[n], table.gtilde3[n], table.a[n], plus[n], plus[n + 1]),
-            (table.gamma4[n], table.gtilde4[n], table.b[n], minus[n], minus[n + 1]),
-            (table.gamma5[n], table.gtilde5[n], table.d[n], minus[n], plus[n + 1]),
-            (table.gamma6[n], table.gtilde6[n], table.d[n], plus[n], minus[n + 1]),
+            (table.gamma3[n], table.gtilde3[n], table.a[n], plus, plus + 2),
+            (table.gamma4[n], table.gtilde4[n], table.b[n], minus, minus + 2),
+            (table.gamma5[n], table.gtilde5[n], table.d[n], minus, plus + 2),
+            (table.gamma6[n], table.gtilde6[n], table.d[n], plus, minus + 2),
         ]
     if params.gamma > 0:
-        top = np.zeros(spec.dim_total, dtype=complex)
-        top[spec.index(spec.n_max, QUBIT_E)] = 1.0
         nm = spectrum.n_manifolds - 1
         root = np.sqrt(float(spec.n_max))
         for weight, lower, target in (
-            (spectrum.c[nm] * root, plus[nm], spectrum.eps_plus[nm]),
-            (-spectrum.s[nm] * root, minus[nm], spectrum.eps_minus[nm]),
+            (spectrum.c[nm] * root, 2 * nm + 1, spectrum.eps_plus[nm]),
+            (-spectrum.s[nm] * root, 2 * nm + 2, spectrum.eps_minus[nm]),
         ):
             nu = spectrum.eps_top - target
             drain = (1.0 + thermal_occupation(nu, params.kT)) * params.gamma
-            transitions.append((drain, 0.0, weight, lower, top))
+            transitions.append((drain, 0.0, weight, lower, spec.dim_total - 1))
+    return transitions
 
+
+def _dressed_channels(transitions, basis):
+    """(rate, jump) list of the dressed generator. Each jump enters at
+    its downward rate and, at finite temperature, its adjoint at the
+    upward rate, so detailed balance holds channel by channel."""
     channels = []
     for down, up, weight, lower, upper in transitions:
-        jump = weight * np.outer(lower, upper.conj())
+        jump = weight * np.outer(basis[:, lower], basis[:, upper].conj())
         if down != 0.0:
             channels.append((down, jump))
         if up != 0.0:
             channels.append((up, jump.conj().T))
     return channels
+
+
+def _dressed_split(spectrum, spec, transitions):
+    """DressedSplit of the same transitions: a jump w|a><b| at rate r
+    moves population from b to a at r*w^2 and adds r*w^2 to the decay of
+    b; its adjoint at the upward rate does the reverse."""
+    dim = spec.dim_total
+    rates = np.zeros((dim, dim))
+    decay = np.zeros(dim)
+    for down, up, weight, lower, upper in transitions:
+        w2 = weight * weight
+        rates[lower, upper] += down * w2
+        decay[upper] += down * w2
+        if up != 0.0:
+            rates[upper, lower] += up * w2
+            decay[lower] += up * w2
+    np.fill_diagonal(rates, -decay)
+    return DressedSplit(
+        energies=dressed_energies(spectrum, spec),
+        rates=rates,
+        decay=decay,
+        c=spectrum.c,
+        s=spectrum.s,
+    )
 
 
 def _bare_channels(params, spec):
@@ -313,22 +430,26 @@ def build_liouvillian(kind, params, spec):
     """The Lindblad generator L[rho] = -i[H, rho] + sum_k rate_k D(J_k)
     on the composite space, with H the coupled Hamiltonian and the
     channels of the given kind: "microscopic" (jumps between dressed
-    states with Bohr-resolved rates) or "phenomenological" (bare-cavity
-    damping)."""
+    states with Bohr-resolved rates, plus their DressedSplit) or
+    "phenomenological" (bare-cavity damping). The superoperator is not
+    assembled here (see Liouvillian.matrix)."""
+    dressed = None
     if kind == "microscopic":
-        channels = _dressed_channels(params, dressed_spectrum(params, spec), spec)
+        spectrum = dressed_spectrum(params, spec)
+        transitions = _dressed_transitions(params, spectrum, spec)
+        channels = _dressed_channels(transitions, dressed_basis_matrix(spectrum, spec))
+        dressed = _dressed_split(spectrum, spec, transitions)
     elif kind == "phenomenological":
         channels = _bare_channels(params, spec)
     else:
         raise DomainError(f"unknown Liouvillian kind {kind!r}")
-    h = build_jc_hamiltonian(params, spec)
     return Liouvillian(
         kind=kind,
         spec=spec,
         params=params,
-        hamiltonian=h,
+        hamiltonian=build_jc_hamiltonian(params, spec),
         channels=channels,
-        matrix=_assemble_superoperator(h, channels),
+        dressed=dressed,
     )
 
 

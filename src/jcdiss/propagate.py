@@ -3,11 +3,14 @@
 Two propagation routes are provided and kept deliberately independent so
 they can cross-check each other:
 
-* spectral: eigendecompose the vectorized generator once (block by block,
-  exploiting conservation of the excitation-number difference between bra
-  and ket indices), expand the initial state over the eigenvectors once
-  per run, and evaluate rho(t) = V exp(w t) V^-1 vec(rho0) at any set of
-  times, a stack of states at a time, and
+* spectral: for the microscopic generator, propagate in the dressed
+  frame, where dressed populations follow a dim x dim rate matrix and
+  every dressed coherence decays on its own (lindblad.DressedSplit); for
+  any other generator, eigendecompose the vectorized generator once
+  (block by block, exploiting conservation of the excitation-number
+  difference between bra and ket indices), expand the initial state over
+  the eigenvectors once per run, and evaluate rho(t) = V exp(w t) V^-1
+  vec(rho0). Either way states come a stack at a time, and
 * rk4: classical fixed-step fourth-order integration of the same sparse
   superoperator, in the frame rotating at the cavity frequency where the
   step-size requirement is set by the coupling and detuning scales
@@ -275,21 +278,25 @@ def evolve(
 def evolve_spectral(
     liouvillian, rho0, times, observer=None, truncation_guard=True, chunk=None
 ):
-    """Spectral propagation at arbitrary times; states are exact up to the
-    conditioning of the eigenbasis, which the amplification gate of
-    SpectralDecomposition.expand bounds once per run."""
-    decomp = spectral_decomposition(liouvillian)
+    """Spectral propagation at arbitrary times.
+
+    A generator with a DressedSplit is propagated in the dressed frame
+    (see _dressed_stacks) and needs no eigenvectors; any other is
+    expanded over its block eigendecomposition, whose conditioning the
+    amplification gate of SpectralDecomposition.expand bounds once per
+    run."""
     dim = liouvillian.dim
     if chunk is None:
         # whole time groups, so that only the last chunk is padded
         per_state = 16 * dim * dim
         chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
-    expansion = decomp.expand(vec(rho0))
+    if getattr(liouvillian, "dressed", None) is not None:
+        stacks = _dressed_stacks(liouvillian, rho0, times, chunk)
+    else:
+        stacks = _decomposed_stacks(spectral_decomposition(liouvillian), rho0, times, chunk)
     guards = _StackGuards(liouvillian.spec, truncation_guard)
     states = np.empty((times.size, dim, dim), complex) if observer is None else None
-    for start in range(0, times.size, chunk):
-        tc = times[start : start + chunk]
-        stack = decomp.propagate_vec(expansion, tc)
+    for start, tc, stack in stacks:
         guards.drift(stack)
         guards.truncation(stack, tc)
         if observer is None:
@@ -302,6 +309,70 @@ def evolve_spectral(
         method="spectral",
         diagnostics={**guards.diagnostics(), "dt": None},
     )
+
+
+def _decomposed_stacks(decomp, rho0, times, chunk):
+    """(start, t_chunk, stack) from the block eigendecomposition; the
+    expansion (and its amplification gate) happens before the first
+    chunk is handed out."""
+    expansion = decomp.expand(vec(rho0))
+    for start in range(0, times.size, chunk):
+        tc = times[start : start + chunk]
+        yield start, tc, decomp.propagate_vec(expansion, tc)
+
+
+def _dressed_stacks(liouvillian, rho0, times, chunk):
+    """(start, t_chunk, stack) in the dressed frame.
+
+    The populations of U^T rho0 U are stepped once over the whole grid
+    with one expm(rates * dt) per distinct gap, which needs no
+    eigenvectors (those of the T = 0 cascade are binomial and
+    ill-conditioned). Each coherence rho~_jk(0) is carried by
+    a_j conj(a_k) and by the frame phase exp(-i omega (N_j - N_k) t),
+    where a_j = exp((-i eps_j - decay_j / 2) t) with eps_j = E_j -
+    omega (N_j - 1/2) the level's small energy in the frame rotating at
+    omega: dim + 2 N_max + 1 exponentials per time, and no phase of
+    order omega t is rounded per level. The stack is turned back by the
+    2x2 pair rotations of U. Every state is computed the same way
+    whatever the chunk.
+    """
+    split = liouvillian.dressed
+    omega = liouvillian.params.omega
+    exc = liouvillian.spec.excitations()
+    tilde0 = split.to_dressed(rho0)
+    dim = tilde0.shape[0]
+    diag = np.arange(dim)
+    populations = _population_series(split.rates, tilde0[diag, diag].real, times)
+    tilde0[diag, diag] = 0.0
+    level = -1j * (split.energies - omega * (exc - 0.5)) - 0.5 * split.decay
+    orders = omega * np.arange(-exc.max(), exc.max() + 1)
+    shift = exc[:, None] - exc[None, :] + exc.max()
+    for start in range(0, times.size, chunk):
+        tc = times[start : start + chunk]
+        a = np.exp(tc[:, None] * level)
+        stack = a[:, :, None] * tilde0
+        stack *= a.conj()[:, None, :]
+        stack[:, diag, diag] = populations[start : start + tc.size]
+        stack *= np.exp(-1j * np.outer(tc, orders))[:, shift]
+        # rebinding frees the dressed stack before the caller sees the state
+        stack = split.to_bare(stack)
+        yield start, tc, stack
+
+
+def _population_series(rates, p0, times):
+    """p(t) = expm(rates * t) p0 at every time, stepped from one output
+    time to the next with one matrix exponential per distinct gap."""
+    steps = {}
+    out = np.empty((times.size, p0.size))
+    p = sla.expm(rates * times[0]) @ p0 if times[0] > 0 else p0
+    out[0] = p
+    for i in range(1, times.size):
+        gap = times[i] - times[i - 1]
+        if gap not in steps:
+            steps[gap] = sla.expm(rates * gap)
+        p = steps[gap] @ p
+        out[i] = p
+    return out
 
 
 def default_time_step(liouvillian):
@@ -382,22 +453,57 @@ def evolve_rk4(liouvillian, rho0, times, observer=None, truncation_guard=True):
 def steady_state(liouvillian):
     """Unique stationary state of the generator.
 
-    The kernel is located in the spectral decomposition; the second
-    smallest eigenvalue magnitude must clear DEGENERACY_RATIO * gamma or
-    DegenerateKernelError is raised (a degenerate kernel means the
-    stationary state is not unique, e.g. at g = 0 where the qubit
-    decouples). The returned state is Hermitized, normalized, and checked
-    to satisfy ||L[rho]||_F < STEADY_RESIDUAL_TOL.
+    The kernel is located among the generator's eigenvalues: those of
+    the DressedSplit's population rates and coherence rates when the
+    generator has one, those of the spectral decomposition otherwise.
+    The second smallest eigenvalue magnitude must clear
+    DEGENERACY_RATIO * gamma or DegenerateKernelError is raised (a
+    degenerate kernel means the stationary state is not unique, e.g. at
+    g = 0 where the qubit decouples). The returned state is Hermitized,
+    normalized, and checked to satisfy ||L[rho]||_F < STEADY_RESIDUAL_TOL.
     """
-    decomp = spectral_decomposition(liouvillian)
-    mags = []
-    for bi, (idx, w, vmat, lu) in enumerate(decomp.blocks):
-        for j in range(w.size):
-            mags.append((abs(w[j]), bi, j))
-    mags.sort(key=lambda trip: trip[0])
-    (m0, b0, j0), (m1, _, _) = mags[0], mags[1]
+    dim = liouvillian.dim
     gamma = getattr(liouvillian.params, "gamma", 0.0)
-    scale = gamma if gamma > 0 else max(m for m, _, _ in mags[-1:]) or 1.0
+    split = getattr(liouvillian, "dressed", None)
+    if split is not None:
+        w, vmat = sla.eig(split.rates)
+        coherences = split.coherence_rates()[~np.eye(dim, dtype=bool)]
+        k = _kernel_index(np.abs(np.concatenate([w, coherences])), gamma)
+        # a coherence kernel would be traceless, rejected below
+        p = vmat[:, k] if k < dim else np.zeros(dim)
+        rho = split.to_bare(np.diag(p).astype(complex))
+    else:
+        decomp = spectral_decomposition(liouvillian)
+        k = _kernel_index(np.abs(np.concatenate([b[1] for b in decomp.blocks])), gamma)
+        for idx, w, vmat, _ in decomp.blocks:
+            if k < w.size:
+                break
+            k -= w.size
+        v = np.zeros(dim * dim, dtype=complex)
+        v[idx] = vmat[:, k]
+        rho = unvec(v, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho).real
+    if abs(tr) < 1e-12:
+        raise DegenerateKernelError("kernel vector is traceless; no physical stationary state")
+    rho /= tr
+    resid = np.linalg.norm(liouvillian.apply(rho))
+    if resid > STEADY_RESIDUAL_TOL:
+        raise DefectiveLiouvillianError(
+            f"stationary-state residual ||L[rho]||_F = {resid:.3e} exceeds "
+            f"{STEADY_RESIDUAL_TOL:.1e}"
+        )
+    return rho
+
+
+def _kernel_index(mags, gamma):
+    """Index of the one eigenvalue magnitude in mags within
+    DEGENERACY_RATIO * gamma of zero (the largest magnitude stands in for
+    gamma when it is 0); DegenerateKernelError if there is none or more
+    than one."""
+    order = np.argsort(mags, kind="stable")
+    m0, m1 = mags[order[0]], mags[order[1]]
+    scale = gamma if gamma > 0 else mags.max() or 1.0
     thresh = DEGENERACY_RATIO * scale
     if m1 <= thresh:
         raise DegenerateKernelError(
@@ -409,22 +515,7 @@ def steady_state(liouvillian):
             f"no eigenvalue near zero (smallest |w| = {m0:.3e}); "
             "the generator has no stationary state in this representation"
         )
-    idx, w, vmat, _ = decomp.blocks[b0]
-    v = np.zeros(decomp.dim * decomp.dim, dtype=complex)
-    v[idx] = vmat[:, j0]
-    rho = unvec(v, decomp.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise DegenerateKernelError("kernel vector is traceless; no physical stationary state")
-    rho /= tr
-    resid = np.linalg.norm(unvec(liouvillian.matrix @ vec(rho), decomp.dim))
-    if resid > STEADY_RESIDUAL_TOL:
-        raise DefectiveLiouvillianError(
-            f"stationary-state residual ||L[rho]||_F = {resid:.3e} exceeds "
-            f"{STEADY_RESIDUAL_TOL:.1e}"
-        )
-    return rho
+    return order[0]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
+import jcdiss.lindblad
 import jcdiss.propagate
 from jcdiss import cli
+from jcdiss._kernels import rotating_generator
+from jcdiss.dressed import SystemParams
 from jcdiss.errors import ConfigError, DefectiveLiouvillianError
-from jcdiss.propagate import SingleExcitationAmplitudes, analytic_microscopic
-from jcdiss.hilbert import SpaceSpec
+from jcdiss.lindblad import build_liouvillian, unvec, vec
+from jcdiss.propagate import (
+    SingleExcitationAmplitudes,
+    analytic_microscopic,
+    evolve,
+    steady_state,
+    trace_distance,
+)
+from jcdiss.hilbert import QUBIT_E, QUBIT_G, SpaceSpec, coherent_state, density_matrix
 from jcdiss.observables import OBSERVABLES
 
 from conftest import REPO_ROOT, load_scenario, read_csv
@@ -156,27 +167,80 @@ def test_manifest_structure(tmp_path):
 
 
 def test_spectral_failure_falls_back_to_rk4(tmp_path, monkeypatch):
-    # the amplification gate lives in expand; the rerun reuses the
-    # observer and the audit, so its outputs are those of a plain rk4 run
+    # the amplification gate lives in expand, which only the
+    # phenomenological generator goes through (the microscopic one is
+    # propagated in the dressed frame); the rerun reuses the observer and
+    # the audit, so its outputs are those of a plain rk4 run
+    model = "phenomenological"
     rk4 = cli.run_scenario(
-        _tiny_config(tmp_path, "rk4", n_points=11, method="rk4")
+        _tiny_config(tmp_path, "rk4", n_points=11, method="rk4", model=model)
     )
 
     def refuse(self, v0):
         raise DefectiveLiouvillianError("forced failure")
 
     monkeypatch.setattr(jcdiss.propagate.SpectralDecomposition, "expand", refuse)
-    manifest = cli.run_scenario(_tiny_config(tmp_path, n_points=11))
-    entry = manifest["jobs"][0]["models"]["microscopic"]
+    manifest = cli.run_scenario(_tiny_config(tmp_path, n_points=11, model=model))
+    entry = manifest["jobs"][0]["models"][model]
     assert entry["fallback_to_rk4"] is True
     assert entry["method"] == "rk4"
-    rk4_entry = rk4["jobs"][0]["models"]["microscopic"]
+    rk4_entry = rk4["jobs"][0]["models"][model]
     assert {**entry, "fallback_to_rk4": False} == rk4_entry
     assert manifest["invariants"] == rk4["invariants"]
     assert manifest["files"] == rk4["files"]
     for name in manifest["files"]:
         fallback_csv = (tmp_path / "out" / name).read_bytes()
         assert fallback_csv == (tmp_path / "rk4" / name).read_bytes()
+
+
+def test_microscopic_route_never_assembles(tmp_path, monkeypatch):
+    # the dressed split carries evolve and steady; the superoperator and
+    # its block eigendecomposition are only built on demand
+    def refuse(*args, **kwargs):
+        raise AssertionError("superoperator assembled on the microscopic route")
+
+    monkeypatch.setattr(jcdiss.lindblad, "_assemble_superoperator", refuse)
+    monkeypatch.setattr(jcdiss.propagate, "spectral_decomposition", refuse)
+    spec = SpaceSpec(8)
+    params = SystemParams(omega0=101.0, omega=100.0, gamma=0.2, nbar_at_omega=0.1)
+    liouvillian = build_liouvillian("microscopic", params, spec)
+    assert liouvillian.dim_super == spec.dim_total ** 2
+    psi0 = coherent_state(0.5, QUBIT_E, spec)
+    result = evolve(liouvillian, psi0, np.linspace(0.0, 3.0, 13), method="spectral")
+    assert result.method == "spectral"
+    steady_state(liouvillian)
+    manifest = cli.run_scenario(_tiny_config(tmp_path, "evolve"))
+    assert manifest["jobs"][0]["models"]["microscopic"]["fallback_to_rk4"] is False
+    cli.run_steady(_tiny_config(tmp_path, "steady"))
+    with pytest.raises(AssertionError):
+        liouvillian.matrix
+
+
+def test_large_coherent_microscopic_run_needs_no_fallback():
+    # alpha = 4 at n_max = 60 and T = 0: the block eigenvectors of this
+    # generator amplify rounding by about 1e13, past AMPLIFICATION_LIMIT;
+    # the dressed route has no eigenvectors to amplify anything
+    spec = SpaceSpec(60)
+    params = SystemParams(omega0=100.0, omega=100.0, gamma=0.2)
+    liouvillian = build_liouvillian("microscopic", params, spec)
+    psi0 = coherent_state(4.0, QUBIT_G, spec)
+    times = np.linspace(0.0, 2.0, 5)
+    states = []
+    entry = cli._observed_run(
+        liouvillian, psi0, times, "spectral", lambda i0, tc, stack: states.extend(stack)
+    )
+    assert entry["fallback_to_rk4"] is False
+    assert entry["method"] == "spectral"
+
+    generator = rotating_generator(liouvillian)
+    reference = expm_multiply(
+        generator, vec(density_matrix(psi0)), start=0.0, stop=2.0, num=5
+    )
+    exc = spec.excitations()
+    for t, rho, v in zip(times, states, reference):
+        phase = np.exp(-1j * params.omega * t * exc)
+        want = phase[:, None] * unvec(v, spec.dim_total) * phase.conj()[None, :]
+        assert trace_distance(rho, want) <= 1e-9
 
 
 def test_scenario_with_nothing_to_do_is_rejected(tmp_path):

@@ -7,7 +7,10 @@ Hermitian, positive semidefinite matrix. The truncation guard is off: the
 properties hold for the truncated generator whatever population reaches
 the top levels. At finite temperature every raising channel of the
 dressed generator is the adjoint of a lowering one, at the detailed
-balance rate of its Bohr frequency.
+balance rate of its Bohr frequency, so the dressed stationary state is
+the Gibbs state of every level the generator feeds. The dressed split
+the microscopic route propagates must equal the assembled superoperator
+seen in the dressed basis.
 """
 
 import numpy as np
@@ -15,7 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jcdiss.dressed import SystemParams
+from jcdiss.dressed import (
+    SystemParams,
+    dressed_basis_matrix,
+    dressed_energies,
+    dressed_spectrum,
+)
+from jcdiss.errors import DegenerateKernelError
 from jcdiss.hilbert import QUBIT_E, SpaceSpec
 from jcdiss.lindblad import build_liouvillian
 from jcdiss.propagate import evolve, steady_state, trace_distance
@@ -106,3 +115,62 @@ def test_microscopic_channels_pair_in_detailed_balance(delta, gamma, nbar, n_max
     for i in unpaired:
         _, cols = np.nonzero(lowering[i][1])
         assert np.all(cols == top)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    gamma=st.floats(0.02, 1.9),
+    nbar=st.floats(0.05, 1.0),
+    n_max=st.integers(1, 6),
+)
+def test_microscopic_steady_state_is_gibbs_below_the_remainder(delta, gamma, nbar, n_max):
+    spec = SpaceSpec(n_max)
+    params = SystemParams(
+        omega0=100.0 + delta, omega=100.0, gamma=gamma, nbar_at_omega=nbar
+    )
+    rho = steady_state(build_liouvillian("microscopic", params, spec))
+    spectrum = dressed_spectrum(params, spec)
+    u = dressed_basis_matrix(spectrum, spec)
+    tilde = u.conj().T @ rho @ u
+    populations = np.diag(tilde).real
+    assert np.abs(tilde - np.diag(np.diag(tilde))).max() <= 1e-12
+    # nothing feeds the bare remainder |n_max,e> (the last dressed level),
+    # so it holds nothing; the rest is the Gibbs state of their energies
+    assert populations[-1] == 0.0
+    energies = dressed_energies(spectrum, spec)[:-1]
+    gibbs = np.exp(-(energies - energies.min()) / params.kT)
+    assert np.abs(populations[:-1] - gibbs / gibbs.sum()).max() <= 1e-12
+    closed = SystemParams(omega0=100.0 + delta, omega=100.0, nbar_at_omega=nbar)
+    with pytest.raises(DegenerateKernelError):
+        steady_state(build_liouvillian("microscopic", closed, spec))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    gamma=st.floats(0.02, 1.9),
+    nbar=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 6),
+)
+def test_dressed_split_is_the_superoperator_in_the_dressed_basis(delta, gamma, nbar, n_max):
+    spec = SpaceSpec(n_max)
+    params = SystemParams(
+        omega0=100.0 + delta, omega=100.0, gamma=gamma, nbar_at_omega=nbar
+    )
+    liouvillian = build_liouvillian("microscopic", params, spec)
+    split = liouvillian.dressed
+    lmat = liouvillian.matrix.toarray()
+    u = dressed_basis_matrix(dressed_spectrum(params, spec), spec)
+    # column stacking: vec(U X U^dag) = kron(conj(U), U) vec(X)
+    w = np.kron(u.conj(), u)
+    tilde = w.conj().T @ lmat @ w
+    tol = 1e-12 * np.linalg.norm(lmat, 2)
+    dim = spec.dim_total
+    pop = np.arange(dim) * (dim + 1)
+    coh = np.setdiff1d(np.arange(dim * dim), pop)
+    assert np.abs(tilde[np.ix_(pop, coh)]).max() <= tol
+    assert np.abs(tilde[np.ix_(coh, pop)]).max() <= tol
+    rates = split.coherence_rates().reshape(-1, order="F")[coh]
+    assert np.abs(tilde[np.ix_(coh, coh)] - np.diag(rates)).max() <= tol
+    assert np.abs(tilde[np.ix_(pop, pop)] - split.rates).max() <= tol
