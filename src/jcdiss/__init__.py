@@ -2,8 +2,10 @@
 damping models.
 
 The package builds both Lindblad generators on a truncated qubit-cavity
-space and propagates them spectrally (the microscopic one in its dressed
-frame) or by fixed-step RK4 on the sparse superoperator. It also
+space and propagates them spectrally, by exact matrix-exponential steps
+over the output grid (the microscopic one in its dressed frame, the
+phenomenological one by sectors of fixed excitation difference), or by
+fixed-step RK4 on the sparse superoperator. It also
 provides closed-form single-excitation solutions and the observables
 needed to compare the two damping models.
 """
@@ -56,7 +58,6 @@ from .propagate import (
     analytic_microscopic,
     analytic_phenomenological,
     evolve,
-    spectral_decomposition,
     steady_state,
     trace_distance,
 )
@@ -76,7 +77,6 @@ from .observables import (
     purity,
     q_mean,
     q_var,
-    revival_time_estimate,
 )
 
 __version__ = "0.1.0"

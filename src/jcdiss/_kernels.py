@@ -10,8 +10,10 @@ tight step-size targets affordable at large photon number.
 
 On the column-stacked vec(rho) the frame change only adds the diagonal
 i omega (N_r - N_c) to the superoperator, with N_r and N_c the
-excitation numbers of the row and column index of each entry, so RK4
-steps the same sparse superoperator as the spectral route.
+excitation numbers of the row and column index of each entry. RK4 steps
+this sparse superoperator, and the spectral route of the
+phenomenological generator steps its sectors of fixed N_r - N_c
+(propagate.spectral_decomposition).
 """
 
 import numpy as np
@@ -20,11 +22,16 @@ import scipy.sparse as sp
 from .errors import DimensionError
 
 
+def sector_labels(spec):
+    """Excitation difference N_r - N_c of each entry of vec(rho)."""
+    exc = spec.excitations()
+    # entry r + c * dim of vec(rho) is rho[r, c]
+    return (exc[:, None] - exc[None, :]).reshape(-1, order="F")
+
+
 def rotating_generator(liouvillian):
     """CSR superoperator of the generator in the rotating frame."""
-    exc = liouvillian.spec.excitations()
-    # entry r + c * dim of vec(rho) is rho[r, c]
-    shift = (exc[:, None] - exc[None, :]).reshape(-1, order="F")
+    shift = sector_labels(liouvillian.spec)
     omega = liouvillian.params.omega
     return sp.csr_matrix(liouvillian.matrix + sp.diags(1j * omega * shift))
 

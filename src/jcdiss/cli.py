@@ -34,7 +34,6 @@ from . import __version__
 from .dressed import SystemParams, dressed_spectrum
 from .errors import (
     ConfigError,
-    DefectiveLiouvillianError,
     JcdissError,
     OracleMismatchError,
     ParameterError,
@@ -535,20 +534,34 @@ class _StateAudit:
 
     def inspect(self, rho):
         """Fold a state, or a stack of states (..., dim, dim), into the
-        smallest eigenvalue and quadrature uncertainty product seen."""
+        smallest eigenvalue and quadrature uncertainty product seen.
+        eigvalsh reads one triangle of rho, so evolve's Hermiticity
+        guard is the only place that conjugates a stack."""
         rho = np.asarray(rho)
-        evals = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho, -2, -1).conj()))
+        evals = np.linalg.eigvalsh(rho)
         self.min_eigenvalue = min(self.min_eigenvalue, float(evals[..., 0].min()))
         q_var, p_var = quadrature_variances(rho, self.spec)
         product = float(np.min(q_var * p_var))
         self.uncertainty_product_min = min(self.uncertainty_product_min, product)
 
 
-def _model_entry(result, audit, fallback):
+def _observed_run(liouvillian, state, times, method, observe):
+    """Evolve one model, hand every chunk of output states to
+    observe(i0, t_chunk, rho_stack) and audit it; returns the model's
+    manifest entry."""
+    audit = _StateAudit(liouvillian.spec)
+
+    def observer(i0, tc, stack):
+        observe(i0, tc, stack)
+        audit.inspect(stack)
+
+    result = evolve(liouvillian, state, times, method=method, observer=observer)
     diag = result.diagnostics
     return {
         "method": result.method,
-        "fallback_to_rk4": fallback,
+        # always false since the spectral route refuses no generator; the
+        # key stays because jcbench/checks.py reads it
+        "fallback_to_rk4": False,
         "dt": diag.get("dt"),
         "steps_total": diag.get("steps_total"),
         "trace_drift_max": diag["trace_drift_max"],
@@ -557,34 +570,6 @@ def _model_entry(result, audit, fallback):
         "min_eigenvalue": audit.min_eigenvalue,
         "uncertainty_product_min": audit.uncertainty_product_min,
     }
-
-
-def _observed_run(liouvillian, state, times, method, observe):
-    """Evolve one model, hand every chunk of output states to
-    observe(i0, t_chunk, rho_stack) and audit it; returns the model's
-    manifest entry.
-
-    A spectral run that refuses the generator is redone with rk4. It
-    raises in SpectralDecomposition.expand, before any chunk is
-    observed, so the rerun reuses the same observer and audit. Only the
-    phenomenological generator goes through expand; the microscopic one
-    is propagated in the dressed frame and is never refused.
-    """
-    audit = _StateAudit(liouvillian.spec)
-
-    def observer(i0, tc, stack):
-        observe(i0, tc, stack)
-        audit.inspect(stack)
-
-    try:
-        result = evolve(liouvillian, state, times, method=method, observer=observer)
-        fallback = False
-    except DefectiveLiouvillianError:
-        if method != "spectral":
-            raise
-        result = evolve(liouvillian, state, times, method="rk4", observer=observer)
-        fallback = True
-    return _model_entry(result, audit, fallback)
 
 
 def _evolve_series(liouvillian, state, times, names, method):

@@ -49,7 +49,8 @@ class DriftError(PhysicsGuardError):
 
 
 class DefectiveLiouvillianError(PhysicsGuardError):
-    """Eigenvector matrix too ill-conditioned for spectral propagation."""
+    """The stationary state found leaves a residual ||L[rho]||_F beyond
+    tolerance."""
 
 
 class DegenerateKernelError(PhysicsGuardError):

@@ -119,11 +119,6 @@ def build_qubit_ops(spec):
     }
 
 
-def total_excitation_operator(spec):
-    """N = a^dag a + (1 + sigma_z)/2; commutes with the coupled Hamiltonian."""
-    return np.diag(spec.excitations().astype(complex))
-
-
 def fock_state(n, qubit_level, spec):
     """Product state |n> (x) |s| as a composite state vector."""
     psi = np.zeros(spec.dim_total, dtype=complex)
@@ -214,18 +209,3 @@ def hermiticity_defect(rho):
     """Largest absolute entry of rho - rho^dag."""
     rho = np.asarray(rho)
     return float(np.abs(rho - rho.conj().T).max())
-
-
-def assert_density_matrix(rho, tol_herm=1e-12, tol_trace=1e-9, tol_pos=1e-8):
-    """Validate Hermiticity, unit trace and positivity within tolerances."""
-    rho = np.asarray(rho)
-    herm = hermiticity_defect(rho)
-    if herm > tol_herm:
-        raise DomainError(f"Hermiticity defect {herm:.3e} > {tol_herm:.1e}")
-    tr = rho.trace().real
-    if abs(tr - 1.0) > tol_trace:
-        raise DomainError(f"trace {tr} deviates from 1 by more than {tol_trace:.1e}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w.min() < -tol_pos:
-        raise DomainError(f"negative eigenvalue {w.min():.3e} below -{tol_pos:.1e}")
-    return rho

@@ -270,8 +270,8 @@ class Liouvillian:
     hamiltonian and channels [(rate, jump operator)] carry the structured
     form used by apply and by the RK4 step-size rule. matrix is the
     sparse dim_super x dim_super superoperator (column stacking) that the
-    block eigendecomposition and RK4 step; it is assembled on first
-    access and cached. dressed is the DressedSplit of the microscopic
+    sector split and RK4 step; it is assembled on first access and
+    cached. dressed is the DressedSplit of the microscopic
     generator (None for the phenomenological one): with it, spectral
     propagation and the steady state never assemble matrix.
     """
@@ -285,7 +285,6 @@ class Liouvillian:
         self.channels = channels
         self.dressed = dressed
         self._matrix = matrix
-        self._decomp = None
 
     @property
     def matrix(self):
@@ -300,9 +299,6 @@ class Liouvillian:
     @property
     def dim_super(self):
         return self.dim * self.dim
-
-    def dense(self):
-        return self.matrix.toarray()
 
     def apply(self, rho):
         """L[rho] from the structured form (matrix-shaped in and out)."""
@@ -451,8 +447,3 @@ def build_liouvillian(kind, params, spec):
         channels=channels,
         dressed=dressed,
     )
-
-
-def trace_functional(dim):
-    """Row vector w with w @ vec(rho) = Tr rho (left null vector of L)."""
-    return vec(np.eye(dim, dtype=complex))

@@ -149,11 +149,6 @@ def p_var(rho, spec):
     return _values(quadrature_variances(rho, spec)[1])
 
 
-def revival_time_estimate(alpha):
-    """Coherent-state revival time 2 pi |alpha| (in units of 1/g)."""
-    return 2.0 * np.pi * abs(alpha)
-
-
 @dataclass(frozen=True)
 class HusimiGridSpec:
     """Square phase-space grid: n_points per axis over [-extent, extent]."""

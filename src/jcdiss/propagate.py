@@ -3,14 +3,15 @@
 Two propagation routes are provided and kept deliberately independent so
 they can cross-check each other:
 
-* spectral: for the microscopic generator, propagate in the dressed
-  frame, where dressed populations follow a dim x dim rate matrix and
-  every dressed coherence decays on its own (lindblad.DressedSplit); for
-  any other generator, eigendecompose the vectorized generator once
-  (block by block, exploiting conservation of the excitation-number
-  difference between bra and ket indices), expand the initial state over
-  the eigenvectors once per run, and evaluate rho(t) = V exp(w t) V^-1
-  vec(rho0). Either way states come a stack at a time, and
+* spectral: exact matrix-exponential steps over the output grid, with
+  no eigenvectors. The microscopic generator is propagated in the
+  dressed frame, where dressed populations follow a dim x dim rate
+  matrix and every dressed coherence decays on its own
+  (lindblad.DressedSplit). Any other generator is split into the sectors
+  of fixed excitation difference k = N_row - N_col of its rotating-frame
+  superoperator, and the sectors k >= 0 are stepped; sector -k is their
+  adjoint. The rate matrix and the sectors go through one stepper
+  (_Stepper), and states come a stack at a time, and
 * rk4: classical fixed-step fourth-order integration of the same sparse
   superoperator, in the frame rotating at the cavity frequency where the
   step-size requirement is set by the coupling and detuning scales
@@ -26,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.csgraph as csgraph
 
 from .errors import (
     DefectiveLiouvillianError,
@@ -85,7 +85,6 @@ class EvolutionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-AMPLIFICATION_LIMIT = 1e10
 # largest population the truncation guard lets the top two Fock levels hold
 TRUNCATION_TOL = 1e-6
 # steady_state: bound on ||L[rho]||_F, and the kernel gap in units of gamma
@@ -94,102 +93,171 @@ DEGENERACY_RATIO = 1e-8
 
 # byte budget of one stack of states evaluated and checked together
 STACK_BYTES = 8 << 20
-# propagate_vec evaluates times in whole groups of this many columns
+# a uniform grid is stepped in whole groups of this many output times
 _TIME_GROUP = 8
+# a grid is uniform when every time is within this many ulps of t0 + i h
+_GRID_ULPS = 8
+# [13/13] Pade coefficients b_j = (26 - j)! / (j! (13 - j)!) and the largest
+# 1-norm that approximant takes unscaled (Higham, SIAM J. Matrix Anal. Appl.
+# 26, 1179 (2005))
+_PADE13 = [
+    math.factorial(26 - j) // (math.factorial(j) * math.factorial(13 - j)) for j in range(14)
+]
+_THETA13 = 5.371920351148152
+
+
+def _expm(a):
+    """exp(a) by scaling and squaring of the [13/13] Pade approximant,
+    on numpy's BLAS only: scipy.linalg.expm mixes in scipy's own OpenBLAS
+    build, whose thread pool fights numpy's on few CPUs (11 ms against
+    0.8 ms for alternating products of 118 x 118 matrices on 2 CPUs).
+    The tests hold this function to scipy.linalg.expm."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def _grid_step(times):
+    """Step h of a uniform grid, whose every time is within a few ulps of
+    t0 + i h (linspace makes them so), or None for any other grid."""
+    n = times.size
+    if n < 2 or times[-1] == times[0]:
+        return None
+    h = (times[-1] - times[0]) / (n - 1)
+    off = np.abs(times - (times[0] + h * np.arange(n))).max()
+    return h if off <= _GRID_ULPS * np.spacing(times[-1]) else None
+
+
+class _Stepper:
+    """v(t) = expm(gen t) v0 at consecutive output times, handed out in
+    order by take(count); no eigenvectors are needed.
+
+    On a uniform grid of step h (see _grid_step) the times come in groups
+    of _TIME_GROUP: the first group is stepped column by column with
+    expm(gen h), and every later one is expm(gen _TIME_GROUP h) times the
+    one before, one product of fixed width. Any other grid is stepped
+    from one output time to the next with one expm per distinct gap.
+    Either way a state is bit-identical whatever counts it is taken in.
+    """
+
+    def __init__(self, gen, v0, times):
+        self.gen = gen
+        self.times = times
+        self.step = step = _grid_step(times)
+        self.taken = 0
+        self.dtype = np.result_type(gen, v0)
+        v = _expm(gen * times[0]) @ v0 if times[0] > 0 else v0
+        if step is None:
+            self.v = v
+            self.gaps = {}
+            return
+        unit = _expm(gen * step)
+        self.group = np.zeros((v.size, _TIME_GROUP), self.dtype)
+        self.group[:, 0] = v
+        for c in range(1, min(_TIME_GROUP, times.size)):
+            self.group[:, c] = unit @ self.group[:, c - 1]
+        self.index = 0
+        if times.size > _TIME_GROUP:
+            self.jump = _expm(gen * (_TIME_GROUP * step))
+
+    def take(self, count):
+        """The next count states, as the columns of a new array."""
+        start, stop = self.taken, self.taken + count
+        self.taken = stop
+        if self.step is None:
+            out = np.empty((self.v.size, count), self.dtype)
+            for i in range(start, stop):
+                if i > 0:
+                    gap = self.times[i] - self.times[i - 1]
+                    if gap not in self.gaps:
+                        self.gaps[gap] = _expm(self.gen * gap)
+                    self.v = self.gaps[gap] @ self.v
+                out[:, i - start] = self.v
+            return out
+        parts = []
+        i = start
+        while i < stop:
+            j, c = divmod(i, _TIME_GROUP)
+            if j > self.index:
+                self.group = self.jump @ self.group
+                self.index = j
+            n = min(_TIME_GROUP - c, stop - i)
+            parts.append(self.group[:, c : c + n])
+            i += n
+        return np.concatenate(parts, axis=1)
 
 
 @dataclass
 class SpectralDecomposition:
-    """Blockwise eigendecomposition of a vectorized Lindblad generator.
+    """Sectors k = N_row - N_col >= 0 of the rotating-frame generator.
 
-    blocks is a list of (indices, eigenvalues, V, lu) with lu the LU
-    factorization of V for solving mode amplitudes.
+    blocks holds one (indices, k, matrix) per sector: the vec indices
+    r + c*dim of its entries rho[r, c], ascending, and the dense sector
+    of _kernels.rotating_generator on them. Sector -k is the adjoint of
+    sector k, so its entries are the conjugates of their transposes and
+    are not stepped. The names SpectralDecomposition, blocks, _decomp,
+    spectral_decomposition and propagate_vec stay for
+    jcbench/tracer.py, which times and counts these sites.
     """
 
     dim: int
+    omega: float
     blocks: list
 
-    def expand(self, v0):
-        """Mode amplitudes of v0 over the blocks it touches.
-
-        The expansion of v0 over each block's eigenvectors is required to
-        be numerically benign: if sum_k |V||c| exceeds AMPLIFICATION_LIMIT
-        times the state norm, cancellation would eat the accuracy budget
-        and DefectiveLiouvillianError asks the caller to integrate
-        instead. This is the operative form of the "numerically
-        diagonalizable" precondition: a near-Jordan structure shows up as
-        a divergent coefficient vector for generic states.
-
-        Blocks of equal size are stacked so that propagate_vec handles
-        each size in one batched step: the result is a list of
-        (indices, eigenvalues, V, c) with shapes (m, n), (m, n),
-        (m, n, n) and (m, n) for m blocks of size n.
-        """
-        groups = {}
-        norm0 = np.linalg.norm(v0)
-        for idx, w, vmat, lu in self.blocks:
-            vb = v0[idx]
-            if not np.any(vb):
-                continue
-            coef = sla.lu_solve(lu, vb)
-            amp = np.linalg.norm(np.abs(vmat) @ np.abs(coef)) / max(norm0, 1e-300)
-            if not np.isfinite(amp) or amp > AMPLIFICATION_LIMIT:
-                raise DefectiveLiouvillianError(
-                    f"eigenvector expansion amplifies the state by {amp:.3e} "
-                    f"(limit {AMPLIFICATION_LIMIT:.1e}) in a block of size "
-                    f"{idx.size}: near-degenerate Jordan structure; "
-                    "fall back to the rk4 integrator"
-                )
-            groups.setdefault(idx.size, []).append((idx, w, vmat, coef))
-        return [tuple(np.stack(part) for part in zip(*terms)) for terms in groups.values()]
-
-    def propagate_vec(self, expansion, times):
-        """States rho(t) = sum_b V_b (c_b e^{w_b t}) of an expansion, as a
-        stack of shape (len(times), dim, dim).
-
-        The times are padded to a whole number of groups of _TIME_GROUP
-        so that BLAS evaluates every state on its full-width kernels: a
-        state comes out bit-identical whatever chunk it was computed in.
-        """
-        times = np.asarray(times, dtype=float)
-        k = times.size
-        padded = np.resize(times, -(-k // _TIME_GROUP) * _TIME_GROUP)
-        out = np.zeros((self.dim * self.dim, padded.size), dtype=complex)
-        for idx, w, vmat, coef in expansion:
-            modes = coef[..., None] * np.exp(w[..., None] * padded)
-            out[idx] = vmat @ modes
-        # column-stacked vec: row r + c*dim of out is rho[r, c]
-        stack = out.reshape(self.dim, self.dim, padded.size).transpose(2, 1, 0)
-        return np.ascontiguousarray(stack[:k])
+    def propagate_vec(self, steppers, times):
+        """The next len(times) states of the steppers, a stack of shape
+        (len(times), dim, dim) in the lab frame: sector k takes its frame
+        phase exp(-i omega k t) at each time t."""
+        dim = self.dim
+        flat = np.empty((times.size, dim * dim), dtype=complex)
+        for (idx, k, _), stepper in zip(self.blocks, steppers):
+            values = stepper.take(times.size).T
+            if k:
+                values *= np.exp(-1j * (self.omega * k) * times)[:, None]
+                # vec index r + c*dim is the C-order flat index of rho[c, r]
+                flat[:, idx] = values.conj()
+            flat[:, (idx % dim) * dim + idx // dim] = values
+        return flat.reshape(times.size, dim, dim)
 
 
 def spectral_decomposition(liouvillian):
-    """Block-diagonalize the generator; cached on the Liouvillian.
+    """Split the rotating-frame generator into its sectors k >= 0; cached
+    on the Liouvillian.
 
-    Blocks are the connected components of the symmetrized sparsity
-    pattern of the superoperator; for the generators built here they
-    coincide with sectors of fixed bra-ket excitation difference, so the
+    H conserves the excitation number N and every jump moves it by one
+    on both sides of rho, so k = N_row - N_col is conserved and the
     split is exact.
     """
     cached = getattr(liouvillian, "_decomp", None)
     if cached is not None:
         return cached
-    lmat = liouvillian.matrix.tocsr()
-    pattern = (abs(lmat) + abs(lmat.T)).astype(bool)
-    n_comp, labels = csgraph.connected_components(pattern, directed=False)
-    # one symmetric permutation makes every component a contiguous
-    # diagonal block; the stable sort keeps each block's indices ascending
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_comp))))
-    permuted = lmat[order][:, order]
-    blocks = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        idx = order[start:stop]
-        sub = permuted[start:stop, start:stop].toarray()
-        w, vmat = sla.eig(sub)
-        lu = sla.lu_factor(vmat)
-        blocks.append((idx, w, vmat, lu))
-    decomp = SpectralDecomposition(dim=liouvillian.dim, blocks=blocks)
+    sector = _kernels.sector_labels(liouvillian.spec)
+    # one symmetric permutation makes every sector a contiguous diagonal
+    # block; the stable sort keeps each sector's indices ascending
+    order = np.argsort(sector, kind="stable")
+    order = order[sector[order] >= 0]
+    bounds = np.searchsorted(sector[order], np.arange(sector.max() + 2))
+    permuted = _kernels.rotating_generator(liouvillian)[order][:, order]
+    blocks = [
+        (order[start:stop], k, permuted[start:stop, start:stop].toarray())
+        for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    decomp = SpectralDecomposition(
+        dim=liouvillian.dim, omega=float(liouvillian.params.omega), blocks=blocks
+    )
     liouvillian._decomp = decomp
     return decomp
 
@@ -278,22 +346,18 @@ def evolve(
 def evolve_spectral(
     liouvillian, rho0, times, observer=None, truncation_guard=True, chunk=None
 ):
-    """Spectral propagation at arbitrary times.
-
-    A generator with a DressedSplit is propagated in the dressed frame
-    (see _dressed_stacks) and needs no eigenvectors; any other is
-    expanded over its block eigendecomposition, whose conditioning the
-    amplification gate of SpectralDecomposition.expand bounds once per
-    run."""
+    """Spectral propagation at arbitrary times: a generator with a
+    DressedSplit in the dressed frame (see _dressed_stacks), any other by
+    its sectors (see SpectralDecomposition)."""
     dim = liouvillian.dim
     if chunk is None:
-        # whole time groups, so that only the last chunk is padded
+        # whole time groups, so that every chunk starts a group of _Stepper
         per_state = 16 * dim * dim
         chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
     if getattr(liouvillian, "dressed", None) is not None:
         stacks = _dressed_stacks(liouvillian, rho0, times, chunk)
     else:
-        stacks = _decomposed_stacks(spectral_decomposition(liouvillian), rho0, times, chunk)
+        stacks = _sector_stacks(spectral_decomposition(liouvillian), rho0, times, chunk)
     guards = _StackGuards(liouvillian.spec, truncation_guard)
     states = np.empty((times.size, dim, dim), complex) if observer is None else None
     for start, tc, stack in stacks:
@@ -311,23 +375,21 @@ def evolve_spectral(
     )
 
 
-def _decomposed_stacks(decomp, rho0, times, chunk):
-    """(start, t_chunk, stack) from the block eigendecomposition; the
-    expansion (and its amplification gate) happens before the first
-    chunk is handed out."""
-    expansion = decomp.expand(vec(rho0))
+def _sector_stacks(decomp, rho0, times, chunk):
+    """(start, t_chunk, stack) from the sectors of the generator."""
+    v0 = vec(rho0)
+    steppers = [_Stepper(matrix, v0[idx], times) for idx, _, matrix in decomp.blocks]
     for start in range(0, times.size, chunk):
         tc = times[start : start + chunk]
-        yield start, tc, decomp.propagate_vec(expansion, tc)
+        yield start, tc, decomp.propagate_vec(steppers, tc)
 
 
 def _dressed_stacks(liouvillian, rho0, times, chunk):
     """(start, t_chunk, stack) in the dressed frame.
 
-    The populations of U^T rho0 U are stepped once over the whole grid
-    with one expm(rates * dt) per distinct gap, which needs no
-    eigenvectors (those of the T = 0 cascade are binomial and
-    ill-conditioned). Each coherence rho~_jk(0) is carried by
+    The populations of U^T rho0 U are stepped by a _Stepper on the rate
+    matrix, which needs no eigenvectors (those of the T = 0 cascade are
+    binomial and ill-conditioned). Each coherence rho~_jk(0) is carried by
     a_j conj(a_k) and by the frame phase exp(-i omega (N_j - N_k) t),
     where a_j = exp((-i eps_j - decay_j / 2) t) with eps_j = E_j -
     omega (N_j - 1/2) the level's small energy in the frame rotating at
@@ -342,7 +404,7 @@ def _dressed_stacks(liouvillian, rho0, times, chunk):
     tilde0 = split.to_dressed(rho0)
     dim = tilde0.shape[0]
     diag = np.arange(dim)
-    populations = _population_series(split.rates, tilde0[diag, diag].real, times)
+    populations = _Stepper(split.rates, tilde0[diag, diag].real, times)
     tilde0[diag, diag] = 0.0
     level = -1j * (split.energies - omega * (exc - 0.5)) - 0.5 * split.decay
     orders = omega * np.arange(-exc.max(), exc.max() + 1)
@@ -352,27 +414,11 @@ def _dressed_stacks(liouvillian, rho0, times, chunk):
         a = np.exp(tc[:, None] * level)
         stack = a[:, :, None] * tilde0
         stack *= a.conj()[:, None, :]
-        stack[:, diag, diag] = populations[start : start + tc.size]
+        stack[:, diag, diag] = populations.take(tc.size).T
         stack *= np.exp(-1j * np.outer(tc, orders))[:, shift]
         # rebinding frees the dressed stack before the caller sees the state
         stack = split.to_bare(stack)
         yield start, tc, stack
-
-
-def _population_series(rates, p0, times):
-    """p(t) = expm(rates * t) p0 at every time, stepped from one output
-    time to the next with one matrix exponential per distinct gap."""
-    steps = {}
-    out = np.empty((times.size, p0.size))
-    p = sla.expm(rates * times[0]) @ p0 if times[0] > 0 else p0
-    out[0] = p
-    for i in range(1, times.size):
-        gap = times[i] - times[i - 1]
-        if gap not in steps:
-            steps[gap] = sla.expm(rates * gap)
-        p = steps[gap] @ p
-        out[i] = p
-    return out
 
 
 def default_time_step(liouvillian):
@@ -455,8 +501,10 @@ def steady_state(liouvillian):
 
     The kernel is located among the generator's eigenvalues: those of
     the DressedSplit's population rates and coherence rates when the
-    generator has one, those of the spectral decomposition otherwise.
-    The second smallest eigenvalue magnitude must clear
+    generator has one, those of every sector k and -k of
+    spectral_decomposition otherwise, in the lab frame; the kernel
+    vector comes from the sector k = 0. The second smallest eigenvalue
+    magnitude must clear
     DEGENERACY_RATIO * gamma or DegenerateKernelError is raised (a
     degenerate kernel means the stationary state is not unique, e.g. at
     g = 0 where the qubit decouples). The returned state is Hermitized,
@@ -474,13 +522,15 @@ def steady_state(liouvillian):
         rho = split.to_bare(np.diag(p).astype(complex))
     else:
         decomp = spectral_decomposition(liouvillian)
-        k = _kernel_index(np.abs(np.concatenate([b[1] for b in decomp.blocks])), gamma)
-        for idx, w, vmat, _ in decomp.blocks:
-            if k < w.size:
-                break
-            k -= w.size
+        (idx, _, sector0), others = decomp.blocks[0], decomp.blocks[1:]
+        w, vmat = sla.eig(sector0)
+        # sector -k has the conjugate eigenvalues of sector k
+        shifted = [np.abs(sla.eigvals(m) - 1j * decomp.omega * k) for _, k, m in others]
+        k = _kernel_index(np.abs(np.concatenate([w] + shifted + shifted)), gamma)
         v = np.zeros(dim * dim, dtype=complex)
-        v[idx] = vmat[:, k]
+        # a kernel outside sector 0 would be traceless, rejected below
+        if k < w.size:
+            v[idx] = vmat[:, k]
         rho = unvec(v, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real

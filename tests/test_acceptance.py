@@ -351,7 +351,7 @@ def test_criterion_10_brute_force_superoperator_oracle():
         result = evolve(
             liouvillian, rho0, times, method="spectral", truncation_guard=False
         )
-        prop = expm(liouvillian.dense() * (times[1] - times[0]))
+        prop = expm(liouvillian.matrix.toarray() * (times[1] - times[0]))
         v = vec(rho0)
         for i in range(times.size):
             worst = max(worst, trace_distance(result.states[i], unvec(v, d)))

@@ -16,7 +16,7 @@ import jcdiss.propagate
 from jcdiss import cli
 from jcdiss._kernels import rotating_generator
 from jcdiss.dressed import SystemParams
-from jcdiss.errors import ConfigError, DefectiveLiouvillianError
+from jcdiss.errors import ConfigError
 from jcdiss.lindblad import build_liouvillian, unvec, vec
 from jcdiss.propagate import (
     SingleExcitationAmplitudes,
@@ -166,36 +166,9 @@ def test_manifest_structure(tmp_path):
         assert key in entry and key in manifest["invariants"]
 
 
-def test_spectral_failure_falls_back_to_rk4(tmp_path, monkeypatch):
-    # the amplification gate lives in expand, which only the
-    # phenomenological generator goes through (the microscopic one is
-    # propagated in the dressed frame); the rerun reuses the observer and
-    # the audit, so its outputs are those of a plain rk4 run
-    model = "phenomenological"
-    rk4 = cli.run_scenario(
-        _tiny_config(tmp_path, "rk4", n_points=11, method="rk4", model=model)
-    )
-
-    def refuse(self, v0):
-        raise DefectiveLiouvillianError("forced failure")
-
-    monkeypatch.setattr(jcdiss.propagate.SpectralDecomposition, "expand", refuse)
-    manifest = cli.run_scenario(_tiny_config(tmp_path, n_points=11, model=model))
-    entry = manifest["jobs"][0]["models"][model]
-    assert entry["fallback_to_rk4"] is True
-    assert entry["method"] == "rk4"
-    rk4_entry = rk4["jobs"][0]["models"][model]
-    assert {**entry, "fallback_to_rk4": False} == rk4_entry
-    assert manifest["invariants"] == rk4["invariants"]
-    assert manifest["files"] == rk4["files"]
-    for name in manifest["files"]:
-        fallback_csv = (tmp_path / "out" / name).read_bytes()
-        assert fallback_csv == (tmp_path / "rk4" / name).read_bytes()
-
-
 def test_microscopic_route_never_assembles(tmp_path, monkeypatch):
     # the dressed split carries evolve and steady; the superoperator and
-    # its block eigendecomposition are only built on demand
+    # its sector split are only built on demand
     def refuse(*args, **kwargs):
         raise AssertionError("superoperator assembled on the microscopic route")
 
@@ -216,13 +189,13 @@ def test_microscopic_route_never_assembles(tmp_path, monkeypatch):
         liouvillian.matrix
 
 
-def test_large_coherent_microscopic_run_needs_no_fallback():
-    # alpha = 4 at n_max = 60 and T = 0: the block eigenvectors of this
-    # generator amplify rounding by about 1e13, past AMPLIFICATION_LIMIT;
-    # the dressed route has no eigenvectors to amplify anything
+def _assert_large_coherent_run_needs_no_fallback(kind):
+    # alpha = 4 at n_max = 60 and T = 0: the eigenvectors of either
+    # generator amplify rounding by about 1e13; neither spectral route
+    # uses eigenvectors, so the run stays spectral and exact
     spec = SpaceSpec(60)
     params = SystemParams(omega0=100.0, omega=100.0, gamma=0.2)
-    liouvillian = build_liouvillian("microscopic", params, spec)
+    liouvillian = build_liouvillian(kind, params, spec)
     psi0 = coherent_state(4.0, QUBIT_G, spec)
     times = np.linspace(0.0, 2.0, 5)
     states = []
@@ -240,7 +213,17 @@ def test_large_coherent_microscopic_run_needs_no_fallback():
     for t, rho, v in zip(times, states, reference):
         phase = np.exp(-1j * params.omega * t * exc)
         want = phase[:, None] * unvec(v, spec.dim_total) * phase.conj()[None, :]
+        # trace_distance reads one triangle only; compare every entry too
         assert trace_distance(rho, want) <= 1e-9
+        assert np.abs(rho - want).max() <= 1e-9
+
+
+def test_large_coherent_microscopic_run_needs_no_fallback():
+    _assert_large_coherent_run_needs_no_fallback("microscopic")
+
+
+def test_large_coherent_phenomenological_run_needs_no_fallback():
+    _assert_large_coherent_run_needs_no_fallback("phenomenological")
 
 
 def test_scenario_with_nothing_to_do_is_rejected(tmp_path):

@@ -32,7 +32,6 @@ from jcdiss.observables import (
     purity,
     q_mean,
     q_var,
-    revival_time_estimate,
 )
 from jcdiss.propagate import evolve
 
@@ -206,10 +205,6 @@ def test_field_moments_match_dense_traces():
         assert abs(en[k] - np.trace(a.conj().T @ a @ rho).real) < 1e-13
     with pytest.raises(DimensionError):
         field_moments(states[:, :-1, :-1], spec)
-
-
-def test_revival_time_estimate():
-    assert revival_time_estimate(np.sqrt(5.0)) == pytest.approx(2 * np.pi * np.sqrt(5))
 
 
 def test_husimi_vacuum_and_bound():

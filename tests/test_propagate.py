@@ -1,14 +1,12 @@
 """Integrators, spectral propagation, steady states, closed-form oracles."""
 
-import types
-import warnings
-
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from jcdiss.errors import (
-    DefectiveLiouvillianError,
     DegenerateKernelError,
     DomainError,
     ParameterError,
@@ -25,10 +23,13 @@ from jcdiss.hilbert import (
     single_excitation_state,
 )
 from jcdiss.dressed import SystemParams, dressed_spectrum, dressed_vector
-from jcdiss.lindblad import Liouvillian, build_liouvillian
+from jcdiss._kernels import rotating_generator
+from jcdiss.lindblad import Liouvillian, build_liouvillian, unvec, vec
 from jcdiss.observables import inversion
 from jcdiss.propagate import (
     SingleExcitationAmplitudes,
+    _expm,
+    _grid_step,
     analytic_microscopic,
     analytic_phenomenological,
     default_time_step,
@@ -126,45 +127,45 @@ def test_spectral_identity_at_t_zero():
     assert trace_distance(result.states[0], rho0) < 1e-10
 
 
-def test_spectral_rejects_defective_generator():
-    # hand-built 2-level generator whose only coupled block is a Jordan
-    # cell: the eigenvector matrix is singular and the mode expansion
-    # blows past the amplification limit
-    matrix = sp.csr_matrix(
-        np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-            ],
-            dtype=complex,
-        )
-    )
-    fake = types.SimpleNamespace(matrix=matrix, dim=2, _decomp=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        decomp = spectral_decomposition(fake)
-        v0 = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        with pytest.raises(DefectiveLiouvillianError), np.errstate(all="ignore"):
-            decomp.expand(v0)
+def test_expm_matches_scipy():
+    # the stepper's own exponential against scipy.linalg.expm: dissipative
+    # matrices of 1-norm 1e-3 to 1e3 (none to eight squarings), complex and
+    # real, and the sectors of a finite-temperature generator
+    rng = np.random.default_rng(5)
+    mats = []
+    for norm in (1e-3, 1.0, 30.0, 1e3):
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        m = m - m.conj().T - np.diag(rng.uniform(0.0, 1.0, 12))
+        m *= norm / np.abs(m).sum(axis=0).max()
+        mats += [m, m.real]
+    liouvillian = build_liouvillian("phenomenological", _params(1.0, nbar=0.3), SpaceSpec(6))
+    mats += [9.4 * m for _, _, m in spectral_decomposition(liouvillian).blocks]
+    for m in mats:
+        want = scipy.linalg.expm(m)
+        got = _expm(m)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_defective_expansion_raises_before_any_observer_call():
-    # rho[0, 0] fed by rho[1, 1] (vec indices 0 and 5) is a Jordan cell
-    spec = SpaceSpec(1)
-    d = spec.dim_total
-    matrix = sp.lil_matrix((d * d, d * d), dtype=complex)
-    matrix[0, 5] = 1.0
-    fake = types.SimpleNamespace(matrix=matrix.tocsr(), dim=d, spec=spec, _decomp=None)
-    rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    calls = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(DefectiveLiouvillianError), np.errstate(all="ignore"):
-            evolve(fake, rho0, np.linspace(0.0, 1.0, 5),
-                   observer=lambda *args: calls.append(args))
-    assert calls == []
+def test_uneven_time_list_matches_expm_multiply():
+    # no uniform step fits these times, so both models step from one
+    # output time to the next with one expm per distinct gap
+    spec = SpaceSpec(8)
+    times = np.array([0.0, 0.3, 0.31, 2.0, 7.5])
+    assert _grid_step(times) is None
+    psi0 = coherent_state(0.5, QUBIT_E, spec)
+    exc = spec.excitations()
+    for kind in ("microscopic", "phenomenological"):
+        liouvillian = build_liouvillian(kind, _params(delta=1.0, nbar=0.1), spec)
+        result = evolve(liouvillian, psi0, times, truncation_guard=False)
+        generator = rotating_generator(liouvillian)
+        v, t_prev = vec(density_matrix(psi0)), 0.0
+        for t, rho in zip(times, result.states):
+            v = expm_multiply(generator * (t - t_prev), v)
+            t_prev = t
+            phase = np.exp(-1j * 100.0 * t * exc)
+            want = phase[:, None] * unvec(v, spec.dim_total) * phase.conj()[None, :]
+            assert np.abs(rho - want).max() <= 1e-12
 
 
 def _observed(liouvillian, psi0, times, chunk, **kwargs):

@@ -10,7 +10,8 @@ dressed generator is the adjoint of a lowering one, at the detailed
 balance rate of its Bohr frequency, so the dressed stationary state is
 the Gibbs state of every level the generator feeds. The dressed split
 the microscopic route propagates must equal the assembled superoperator
-seen in the dressed basis.
+seen in the dressed basis, and the sectors the phenomenological route
+steps must be the rotating-frame superoperator permuted.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jcdiss._kernels import rotating_generator, sector_labels
 from jcdiss.dressed import (
     SystemParams,
     dressed_basis_matrix,
@@ -27,7 +29,12 @@ from jcdiss.dressed import (
 from jcdiss.errors import DegenerateKernelError
 from jcdiss.hilbert import QUBIT_E, SpaceSpec
 from jcdiss.lindblad import build_liouvillian
-from jcdiss.propagate import evolve, steady_state, trace_distance
+from jcdiss.propagate import (
+    evolve,
+    spectral_decomposition,
+    steady_state,
+    trace_distance,
+)
 
 _TIMES = np.linspace(0.0, 2.0, 6)
 
@@ -174,3 +181,36 @@ def test_dressed_split_is_the_superoperator_in_the_dressed_basis(delta, gamma, n
     rates = split.coherence_rates().reshape(-1, order="F")[coh]
     assert np.abs(tilde[np.ix_(coh, coh)] - np.diag(rates)).max() <= tol
     assert np.abs(tilde[np.ix_(pop, pop)] - split.rates).max() <= tol
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    gamma=st.floats(0.02, 1.9),
+    nbar=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 6),
+)
+def test_sectors_are_the_rotating_generator_permuted(delta, gamma, nbar, n_max):
+    spec = SpaceSpec(n_max)
+    params = SystemParams(
+        omega0=100.0 + delta, omega=100.0, gamma=gamma, nbar_at_omega=nbar
+    )
+    liouvillian = build_liouvillian("phenomenological", params, spec)
+    generator = rotating_generator(liouvillian).toarray()
+    tol = 1e-12 * np.linalg.norm(generator, 2)
+    dim = spec.dim_total
+    labels = sector_labels(spec)
+    # sectors k >= 0 as stored, sector -k as the conjugate of sector k on
+    # the transposed entries; nothing may couple two sectors
+    rebuilt = np.zeros_like(generator)
+    seen = []
+    for idx, k, matrix in spectral_decomposition(liouvillian).blocks:
+        assert np.all(labels[idx] == k)
+        rebuilt[np.ix_(idx, idx)] = matrix
+        seen.append(idx)
+        if k:
+            mirror = (idx % dim) * dim + idx // dim
+            rebuilt[np.ix_(mirror, mirror)] = matrix.conj()
+            seen.append(mirror)
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(dim * dim))
+    assert np.abs(rebuilt - generator).max() <= tol
