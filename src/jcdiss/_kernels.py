@@ -14,6 +14,12 @@ excitation numbers of the row and column index of each entry. RK4 steps
 this sparse superoperator, and the spectral route of the
 phenomenological generator steps its sectors of fixed N_r - N_c
 (propagate.spectral_decomposition).
+
+With G this linear superoperator, one RK4 step of size h is exactly the
+step matrix P(h) = I + hG (I + hG/2 (I + hG/3 (I + hG/4))), the degree-4
+Taylor polynomial of exp(hG) that the four stages compute. rk4_advance
+builds P once per distinct step size, as one sparse matrix cached on the
+generator, and then applies one sparse matvec per step.
 """
 
 import numpy as np
@@ -36,9 +42,30 @@ def rotating_generator(liouvillian):
     return sp.csr_matrix(liouvillian.matrix + sp.diags(1j * omega * shift))
 
 
+# most step matrices cached per generator: a linspace grid needs 10-13,
+# a grid whose every gap differs (logspace) would keep one per time
+_MAX_STEP_MATRICES = 64
+
+
+def _step_polynomial(generator, dt):
+    """I + hG (I + hG/2 (I + hG/3 (I + hG/4))) with h = dt."""
+    hg = dt * generator
+    eye = sp.identity(generator.shape[0], dtype=complex, format="csr")
+    p = eye
+    for order in (4.0, 3.0, 2.0, 1.0):
+        p = eye + (hg @ p) / order
+    return p
+
+
 def rk4_advance(generator, rho, dt, n_steps):
     """Advance rho by n_steps RK4 steps of size dt under the superoperator
-    generator; returns a new array and leaves rho untouched."""
+    generator; returns a new array and leaves rho untouched.
+
+    Each step is one product with the step matrix P(dt). P is cached on
+    the generator by dt, so it lives as long as the generator does:
+    evolve_rk4 makes a fresh one per call, as rotating_generator
+    returns. Beyond _MAX_STEP_MATRICES step sizes the oldest is dropped.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     dim_super = generator.shape[0]
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size != dim_super:
@@ -46,11 +73,12 @@ def rk4_advance(generator, rho, dt, n_steps):
             f"state has shape {rho.shape}, generator acts on {dim_super} entries"
         )
     v = rho.flatten(order="F")
-    half, sixth = 0.5 * dt, dt / 6.0
+    steps = generator.__dict__.setdefault("_rk4_steps", {})
+    if dt not in steps:
+        if len(steps) >= _MAX_STEP_MATRICES:
+            del steps[next(iter(steps))]
+        steps[dt] = _step_polynomial(generator, dt)
+    step = steps[dt]
     for _ in range(n_steps):
-        k1 = generator @ v
-        k2 = generator @ (v + half * k1)
-        k3 = generator @ (v + half * k2)
-        k4 = generator @ (v + dt * k3)
-        v += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = step @ v
     return v.reshape(rho.shape, order="F")

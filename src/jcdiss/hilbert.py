@@ -93,12 +93,6 @@ def build_annihilation(spec):
     return np.kron(a_field, np.eye(2, dtype=complex))
 
 
-def build_number_operator(spec):
-    """Field number operator a^dag a on the composite space."""
-    nvals = np.arange(spec.dim_field, dtype=float)
-    return np.kron(np.diag(nvals).astype(complex), np.eye(2, dtype=complex))
-
-
 def build_qubit_ops(spec):
     """Qubit operators on the composite space.
 

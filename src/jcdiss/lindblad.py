@@ -271,7 +271,9 @@ class Liouvillian:
     form used by apply and by the RK4 step-size rule. matrix is the
     sparse dim_super x dim_super superoperator (column stacking) that the
     sector split and RK4 step; it is assembled on first access and
-    cached. dressed is the DressedSplit of the microscopic
+    cached. RK4 does not multiply by it directly: from its rotating-frame
+    form it builds one sparse step matrix per distinct step size
+    (_kernels.rk4_advance). dressed is the DressedSplit of the microscopic
     generator (None for the phenomenological one): with it, spectral
     propagation and the steady state never assemble matrix.
     """

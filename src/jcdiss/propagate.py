@@ -15,7 +15,9 @@ they can cross-check each other:
 * rk4: classical fixed-step fourth-order integration of the same sparse
   superoperator, in the frame rotating at the cavity frequency where the
   step-size requirement is set by the coupling and detuning scales
-  instead of the optical frequency.
+  instead of the optical frequency. Each step applies the RK4 step
+  polynomial as one sparse matrix, built once per distinct step size
+  (_kernels.rk4_advance).
 
 The closed-form solutions cover the single-excitation sector at zero
 temperature for both generators and serve as first-principles oracles.

@@ -12,7 +12,6 @@ from jcdiss.hilbert import (
     QUBIT_G,
     SpaceSpec,
     build_annihilation,
-    build_number_operator,
     build_qubit_ops,
     coherent_state,
     coherent_tail,
@@ -26,6 +25,12 @@ from jcdiss.hilbert import (
 )
 from jcdiss.lindblad import build_liouvillian
 from jcdiss.propagate import evolve
+
+
+def _number_operator(spec):
+    """Field number operator a^dag a on the composite space."""
+    nvals = np.arange(spec.dim_field, dtype=float)
+    return np.kron(np.diag(nvals).astype(complex), np.eye(2, dtype=complex))
 
 
 def test_index_contract_qubit_fastest():
@@ -84,7 +89,7 @@ def test_commutator_truncation_structure():
 
 def test_number_operator_counts_photons():
     spec = SpaceSpec(n_max=4)
-    nop = build_number_operator(spec)
+    nop = _number_operator(spec)
     a = build_annihilation(spec)
     assert np.allclose(nop, a.conj().T @ a)
 
@@ -110,7 +115,7 @@ def test_total_excitation_operator():
     psi = fock_state(2, QUBIT_E, spec)
     assert np.allclose(exc @ psi, 3.0 * psi)
     ops = build_qubit_ops(spec)
-    expected = build_number_operator(spec) + 0.5 * (
+    expected = _number_operator(spec) + 0.5 * (
         np.eye(spec.dim_total) + ops["sigma_z"]
     )
     assert np.allclose(exc, expected)
@@ -176,7 +181,7 @@ def test_partial_traces_consistent():
     assert np.trace(qubit) == pytest.approx(1.0)
     # both reductions agree on the total mean excitation bookkeeping
     n_from_field = np.sum(np.arange(spec.dim_field) * np.diag(field).real)
-    nop = build_number_operator(spec)
+    nop = _number_operator(spec)
     assert n_from_field == pytest.approx(np.trace(nop @ rho).real, abs=1e-12)
 
 

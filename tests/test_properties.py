@@ -72,7 +72,10 @@ def test_routes_agree_and_contract_to_the_steady_state(delta, gamma, nbar, n_max
         rho_ss = steady_state(liouvillian)
         distances = []
         for a, b in zip(spectral.states, rk4.states):
+            # trace_distance reads one triangle only; compare every entry
+            # too (worst measured: 1.1e-12 and 9.2e-13)
             assert trace_distance(a, b) < 1e-6, kind
+            assert np.abs(a - b).max() < 1e-6, kind
             for rho in (a, b):
                 assert abs(np.trace(rho) - 1.0) < 1e-10, kind
                 assert np.abs(rho - rho.conj().T).max() < 1e-10, kind
