@@ -39,7 +39,9 @@ def thermal_occupation(nu, kT):
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0.0):
         raise DomainError(f"thermal occupation needs nu > 0, got {nu}")
-    occupation = np.zeros_like(nu) if kT == 0.0 else 1.0 / np.expm1(nu / kT)
+    # nu/kT beyond ~709 overflows expm1 to inf, and 1/inf is the right 0
+    with np.errstate(over="ignore"):
+        occupation = np.zeros_like(nu) if kT == 0.0 else 1.0 / np.expm1(nu / kT)
     return occupation if occupation.ndim else float(occupation)
 
 
@@ -272,10 +274,12 @@ class Liouvillian:
     sparse dim_super x dim_super superoperator (column stacking) that the
     sector split and RK4 step; it is assembled on first access and
     cached. RK4 does not multiply by it directly: from its rotating-frame
-    form it builds one sparse step matrix per distinct step size
-    (_kernels.rk4_advance). dressed is the DressedSplit of the microscopic
-    generator (None for the phenomenological one): with it, spectral
-    propagation and the steady state never assemble matrix.
+    form it builds one sparse step matrix P(h) per distinct output gap
+    of n steps, and for a gap that recurs often enough to pay for it the
+    one sparse matrix P(h)^n (_kernels.rk4_advance). dressed is the
+    DressedSplit of the microscopic generator (None for the
+    phenomenological one): with it, spectral propagation and the steady
+    state never assemble matrix.
     """
 
     def __init__(self, kind, spec, params, hamiltonian, channels,

@@ -16,8 +16,9 @@ they can cross-check each other:
   superoperator, in the frame rotating at the cavity frequency where the
   step-size requirement is set by the coupling and detuning scales
   instead of the optical frequency. Each step applies the RK4 step
-  polynomial as one sparse matrix, built once per distinct step size
-  (_kernels.rk4_advance).
+  polynomial P(h) as one sparse matrix, built once per distinct output
+  gap of n steps; once a recurring gap's stepping has paid for building
+  P(h)^n, the gap is one product with it (_kernels.rk4_advance).
 
 The closed-form solutions cover the single-excitation sector at zero
 temperature for both generators and serve as first-principles oracles.

@@ -1,5 +1,7 @@
 """Rate tables, jump operators, and the two Lindblad generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -47,6 +49,13 @@ def test_thermal_occupation_values():
         thermal_occupation(0.0, 1.0)
     with pytest.raises(DomainError):
         thermal_occupation(-1.0, 1.0)
+
+
+def test_thermal_occupation_vanishes_without_overflow_warning():
+    # nu/kT = 2000 overflows expm1 to inf; the occupation is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thermal_occupation(1000.0, 0.5) == 0.0
 
 
 def test_vec_unvec_column_stacking():
