@@ -248,6 +248,111 @@ def test_evolve_writes_series_and_snapshots_like_husimi(tmp_path):
     assert entry["husimi"] == only["jobs"][0]["models"]["microscopic"]["husimi"]
 
 
+# ---------------------------------------------------------------------------
+# the physicality audit
+
+# smallest eigenvalue of each state, one row per stack; stacks 2, 4 and 6
+# lower the running minimum, the last one to -1e-6 once it has settled
+_AUDIT_STACK_MINIMA = (
+    (4e-3, 8e-3, 6e-3),
+    (6e-3, 9e-3, 7e-3),
+    (5e-3, 2e-3, 9e-3),
+    (3e-3, 5e-3, 4e-3),
+    (8e-3, 1e-3, 6e-3),
+    (2e-3, 3e-3, 5e-3),
+    (4e-3, -1e-6, 7e-3),
+    (1e-3, 2e-3, 5e-4),
+    (9e-3, 6e-3, 3e-3),
+)
+_AUDIT_LOWERING_STACKS = 4  # the first stack and the three above
+
+
+def _stack_with_minima(rng, minima, dim):
+    """Random Hermitian states, one per entry of minima, each with that
+    smallest eigenvalue and the rest in [0.05, 0.2]."""
+    states = []
+    for low in minima:
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u, _ = np.linalg.qr(z)
+        evals = np.concatenate([[low], rng.uniform(0.05, 0.2, dim - 1)])
+        states.append((u * evals) @ u.conj().T)
+    return np.array(states)
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Replace np.linalg.eigvalsh by a counting wrapper; returns the
+    original and the list its calls are appended to."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return eigvalsh, calls
+
+
+def test_audit_records_the_eigvalsh_minimum_and_skips_certified_stacks(monkeypatch):
+    spec = SpaceSpec(4)
+    rng = np.random.default_rng(7)
+    stacks = [_stack_with_minima(rng, m, spec.dim_total) for m in _AUDIT_STACK_MINIMA]
+    eigvalsh, calls = _counting_eigvalsh(monkeypatch)
+    audit = cli._StateAudit(spec)
+    for i, stack in enumerate(stacks):
+        audit.inspect(stack)
+        seen = np.concatenate(stacks[: i + 1])
+        assert audit.min_eigenvalue == eigvalsh(seen)[:, 0].min()
+    assert audit.min_eigenvalue == pytest.approx(-1e-6, rel=1e-9)
+    # a stack that cannot lower the minimum never reaches eigvalsh
+    assert len(calls) == _AUDIT_LOWERING_STACKS
+
+
+@pytest.mark.parametrize("index, value", [
+    ((3, 1), np.nan), ((2, 2), np.nan), ((7, 0), np.inf), ((5, 4), -np.inf),
+])
+def test_audit_hands_a_nonfinite_stack_to_eigvalsh(monkeypatch, index, value):
+    # the LAPACK Cholesky factors a NaN without failing; the audit must
+    # still pass the stack on to eigvalsh, which refuses it as before
+    spec = SpaceSpec(4)
+    rng = np.random.default_rng(3)
+    audit = cli._StateAudit(spec)
+    audit.inspect(_stack_with_minima(rng, (1e-3, 2e-3), spec.dim_total))
+    _, calls = _counting_eigvalsh(monkeypatch)
+    stack = _stack_with_minima(rng, (5e-3, 6e-3), spec.dim_total)
+    stack[1][index] = value
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        audit.inspect(stack)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
+@pytest.mark.parametrize("nbar", [0.0, 0.1])
+def test_observed_run_minimum_matches_eigvalsh_of_every_state(monkeypatch, kind, nbar):
+    # 1601 states of dim 26 make three stacks (768 + 768 + 65), so the
+    # later ones are offered to the certificate; a certified state may
+    # sit below the recorded minimum by the Cholesky backward error
+    # (about dim*eps); the gap measured 0.0 in all four cases
+    spec = SpaceSpec(12)
+    params = SystemParams(omega0=100.0, omega=100.0, gamma=0.2, nbar_at_omega=nbar)
+    liouvillian = build_liouvillian(kind, params, spec)
+    psi0 = coherent_state(1.0, QUBIT_E, spec)
+    times = np.linspace(0.0, 20.0, 1601)
+    certify = cli._StateAudit._certified
+    verdicts = []
+
+    def counted(self, rho):
+        verdicts.append(certify(self, rho))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cli._StateAudit, "_certified", counted)
+    entry = cli._observed_run(liouvillian, psi0, times, "spectral", lambda *a: None)
+    assert verdicts == [False, True, True]
+    states = evolve(liouvillian, psi0, times).states
+    reference = np.linalg.eigvalsh(states)[:, 0].min()
+    assert abs(entry["min_eigenvalue"] - reference) <= 1e-15
+
+
 def test_steady_outputs(tmp_path):
     raw = _tiny_raw(
         model="both",
@@ -289,6 +394,7 @@ def test_oracle_report_passes(tmp_path):
     assert report["n_trials"] == 6
     for kind in ("microscopic", "phenomenological"):
         assert report["worst_trace_distance"][kind] < 1e-6
+        assert report["worst_entry_error"][kind] < 1e-6
     assert (tmp_path / "out" / "oracle_report.json").exists()
 
 
@@ -437,6 +543,27 @@ def test_small_phenomenological_oracle_mismatch_exits_4(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
     assert report["runs"][-1]["max_trace_distance"] == pytest.approx(1e-5, rel=1e-3)
     assert "flagged" not in report
+
+
+def test_oracle_mismatch_in_one_triangle_exits_4(tmp_path, monkeypatch):
+    # trace_distance reads the lower triangle only; an error confined to
+    # the upper one is caught by the entrywise bound
+    exact = cli.analytic_microscopic
+
+    def upper_shifted(params, amps, times, spec):
+        out = exact(params, amps, times, spec)
+        out[:, 0, 1] += 1e-3
+        return out
+
+    monkeypatch.setattr(cli, "analytic_microscopic", upper_shifted)
+    raw = _tiny_raw(t_max=4.0, n_points=9, n_max=6)
+    raw["oracle"] = {"n_trials": 0}
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["oracle", path, "--out", str(tmp_path / "out")]) == 4
+    report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+    assert report["runs"][-1]["max_trace_distance"] < 1e-6
+    assert report["runs"][-1]["max_entry_error"] == pytest.approx(1e-3, rel=1e-6)
+    assert report["worst_entry_error"]["microscopic"] == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_console_module_entry(tmp_path):
