@@ -143,7 +143,7 @@ def rk4_advance(generator, rho, dt, n_steps):
     The steps are taken by the _Gap of (dt, n_steps): n_steps products
     with the step matrix P(dt), or, once a recurring gap has paid for
     it, one product with P(dt)^n_steps. The gaps are cached on the
-    generator, so they last as long as it does: evolve_rk4 makes a fresh
+    generator, so they last as long as it does: _rk4_stacks makes a fresh
     one per call, as rotating_generator returns. Beyond _MAX_GAPS gaps
     the oldest is dropped.
     """

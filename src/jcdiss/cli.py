@@ -544,7 +544,8 @@ class _StateAudit:
         first included, takes eigvalsh. min_eigenvalue is thus the
         smallest eigenvalue of the stacks that could not be certified.
         Both read the lower triangle of rho only, so evolve's
-        Hermiticity guard is the only place that conjugates a stack."""
+        Hermiticity guard is the only place that conjugates a stack; it
+        also refuses a non-finite state before evolve's observer sees it."""
         rho = np.asarray(rho)
         if not self._certified(rho):
             evals = np.linalg.eigvalsh(rho)

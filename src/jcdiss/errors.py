@@ -45,7 +45,7 @@ class BohrFrequencyError(PhysicsGuardError):
 
 
 class DriftError(PhysicsGuardError):
-    """Trace or Hermiticity drift beyond tolerance during integration."""
+    """Trace or Hermiticity drift beyond tolerance, or a non-finite state."""
 
 
 class DefectiveLiouvillianError(PhysicsGuardError):

@@ -11,7 +11,7 @@ they can cross-check each other:
   of fixed excitation difference k = N_row - N_col of its rotating-frame
   superoperator, and the sectors k >= 0 are stepped; sector -k is their
   adjoint. The rate matrix and the sectors go through one stepper
-  (_Stepper), and states come a stack at a time, and
+  (_Stepper), and
 * rk4: classical fixed-step fourth-order integration of the same sparse
   superoperator, in the frame rotating at the cavity frequency where the
   step-size requirement is set by the coupling and detuning scales
@@ -19,6 +19,9 @@ they can cross-check each other:
   polynomial P(h) as one sparse matrix, built once per distinct output
   gap of n steps; once a recurring gap's stepping has paid for building
   P(h)^n, the gap is one product with it (_kernels.rk4_advance).
+
+Each route is a source of stacks of lab-frame states, and evolve runs
+one loop over the source it picks: guards, then store or observe.
 
 The closed-form solutions cover the single-excitation sector at zero
 temperature for both generators and serve as first-principles oracles.
@@ -76,10 +79,11 @@ class EvolutionResult:
     """Output of evolve: sampled times, optional states, and diagnostics.
 
     states has shape (n_times, dim, dim) when evolve was given no
-    observer, and is None otherwise. diagnostics records raw
-    (pre-correction) trace drift and hermiticity defect maxima, the
-    largest combined population seen in the top two Fock levels, and
-    method details.
+    observer, and is None otherwise. diagnostics records the trace drift
+    and hermiticity defect maxima of the states as handed out (on rk4,
+    before the correction it steps on from), the largest combined
+    population seen in the top two Fock levels, and rk4's dt and
+    steps_total (dt is None on the spectral route).
     """
 
     times: np.ndarray
@@ -90,6 +94,8 @@ class EvolutionResult:
 
 # largest population the truncation guard lets the top two Fock levels hold
 TRUNCATION_TOL = 1e-6
+# largest trace drift and Hermiticity defect the guards let a state have
+DRIFT_TOL = 1e-7
 # steady_state: bound on ||L[rho]||_F, and the kernel gap in units of gamma
 STEADY_RESIDUAL_TOL = 1e-9
 DEGENERACY_RATIO = 1e-8
@@ -275,8 +281,8 @@ def _top_indices(spec):
 
 
 class _StackGuards:
-    """Trace drift, Hermiticity defect and top-of-ladder population of
-    stacks of states, with the running maxima evolve reports."""
+    """The guards of every route's stacks, with the running maxima of trace
+    drift, Hermiticity defect and top-of-ladder population evolve reports."""
 
     def __init__(self, spec, truncation_guard):
         self.top_idx = _top_indices(spec)
@@ -285,28 +291,32 @@ class _StackGuards:
         self.herm_max = 0.0
         self.top_max = 0.0
 
-    def drift(self, stack):
-        """Per-state trace drift |Re tr - 1| + |Im tr| and Hermiticity
-        defect, folded into the running maxima."""
+    def check(self, stack, tc):
+        """Fold the stack into the running maxima, or raise at its earliest
+        failing state: DriftError when the trace drift |Re tr - 1| + |Im tr|
+        or the Hermiticity defect is not within DRIFT_TOL (a non-finite
+        state never is), TruncationError when the top two Fock levels hold
+        more than TRUNCATION_TOL. DriftError wins at one state."""
         tr = np.trace(stack, axis1=1, axis2=2)
         drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
+            herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        top = stack[:, self.top_idx, self.top_idx].real.sum(axis=1)
+        drifted = ~((drift <= DRIFT_TOL) & (herm <= DRIFT_TOL))
+        failed = (drifted | (top > TRUNCATION_TOL)) if self.truncation_guard else drifted
+        if failed.any():
+            k = int(np.argmax(failed))
+            if drifted[k]:
+                raise DriftError(
+                    f"trace drift {drift[k]:.3e}, hermiticity defect {herm[k]:.3e} "
+                    f"at t={tc[k]:.6g} (tolerance {DRIFT_TOL:.1e})"
+                )
+            raise TruncationError(
+                f"top two Fock levels hold {top[k]:.3e} population at "
+                f"t={tc[k]:.6g}; raise n_max (tolerance {TRUNCATION_TOL:.1e})"
+            )
         self.drift_max = max(self.drift_max, float(drift.max()))
         self.herm_max = max(self.herm_max, float(herm.max()))
-        return drift, herm
-
-    def truncation(self, stack, tc):
-        """Raise TruncationError at the first time whose top two Fock
-        levels hold more than the tolerance."""
-        top = stack[:, self.top_idx, self.top_idx].real.sum(axis=1)
-        if self.truncation_guard:
-            bad = np.flatnonzero(top > TRUNCATION_TOL)
-            if bad.size:
-                k = bad[0]
-                raise TruncationError(
-                    f"top two Fock levels hold {top[k]:.3e} population at "
-                    f"t={tc[k]:.6g}; raise n_max (tolerance {TRUNCATION_TOL:.1e})"
-                )
         self.top_max = max(self.top_max, float(top.max()))
 
     def diagnostics(self):
@@ -328,44 +338,38 @@ def evolve(
 ):
     """Propagate a state through the generator and sample it at times.
 
-    observer(i0, t_chunk, rho_stack) is called on consecutive chunks of
-    the requested times in order: rho_stack[k] is the state at
-    t_chunk[k], the (i0 + k)-th output time. The spectral route makes
-    chunks of `chunk` states (by default as many as fit in STACK_BYTES);
-    the rk4 route hands out one state at a time. States are stored only
-    when no observer is given. method is "spectral" or "rk4". The
-    truncation guard aborts the run if the top two Fock levels ever hold
-    more than TRUNCATION_TOL of the population.
+    method "spectral" (_dressed_stacks, or _sector_stacks for a generator
+    without a DressedSplit) or "rk4" (_rk4_stacks) makes stacks of
+    `chunk` states, by default as many as fit in STACK_BYTES. Each stack
+    passes the guards of _StackGuards (DriftError beyond DRIFT_TOL,
+    TruncationError beyond TRUNCATION_TOL unless truncation_guard is
+    off), then is stored, or handed to observer(i0, t_chunk, rho_stack):
+    rho_stack[k] is the state at t_chunk[k], the (i0 + k)-th output time.
     """
     times = _check_times(times)
     rho0 = _as_density(state, liouvillian.dim)
-    if method == "spectral":
-        return evolve_spectral(liouvillian, rho0, times, observer, truncation_guard, chunk)
-    if method == "rk4":
-        return evolve_rk4(liouvillian, rho0, times, observer, truncation_guard)
-    raise ParameterError(f"unknown method {method!r}")
-
-
-def evolve_spectral(
-    liouvillian, rho0, times, observer=None, truncation_guard=True, chunk=None
-):
-    """Spectral propagation at arbitrary times: a generator with a
-    DressedSplit in the dressed frame (see _dressed_stacks), any other by
-    its sectors (see SpectralDecomposition)."""
     dim = liouvillian.dim
     if chunk is None:
         # whole time groups, so that every chunk starts a group of _Stepper
         per_state = 16 * dim * dim
         chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
-    if getattr(liouvillian, "dressed", None) is not None:
-        stacks = _dressed_stacks(liouvillian, rho0, times, chunk)
+    if method == "spectral":
+        stepping = {"dt": None}
+        if getattr(liouvillian, "dressed", None) is not None:
+            stacks = _dressed_stacks(liouvillian, rho0, times, chunk)
+        else:
+            stacks = _sector_stacks(spectral_decomposition(liouvillian), rho0, times, chunk)
+    elif method == "rk4":
+        dt = default_time_step(liouvillian)
+        gaps = _rk4_gaps(times, dt)
+        stepping = {"dt": dt, "steps_total": sum(n for _, n in gaps)}
+        stacks = _rk4_stacks(liouvillian, rho0, times, gaps, chunk)
     else:
-        stacks = _sector_stacks(spectral_decomposition(liouvillian), rho0, times, chunk)
+        raise ParameterError(f"unknown method {method!r}")
     guards = _StackGuards(liouvillian.spec, truncation_guard)
     states = np.empty((times.size, dim, dim), complex) if observer is None else None
     for start, tc, stack in stacks:
-        guards.drift(stack)
-        guards.truncation(stack, tc)
+        guards.check(stack, tc)
         if observer is None:
             states[start : start + tc.size] = stack
         else:
@@ -373,8 +377,8 @@ def evolve_spectral(
     return EvolutionResult(
         times=times,
         states=states,
-        method="spectral",
-        diagnostics={**guards.diagnostics(), "dt": None},
+        method=method,
+        diagnostics={**guards.diagnostics(), **stepping},
     )
 
 
@@ -443,60 +447,44 @@ def default_time_step(liouvillian):
     return 0.005 / max(spread + decay, 1e-9)
 
 
-def evolve_rk4(liouvillian, rho0, times, observer=None, truncation_guard=True):
-    """Fixed-step RK4 propagation with exact landing on each output time.
+def _rk4_gaps(times, dt):
+    """(h, n) per output time: n equal RK4 steps of size h no longer than
+    dt land on it from the time before; n = 0 at the first time and at a
+    repeated one."""
+    gaps = [(0.0, 0)]
+    for span in np.diff(times):
+        n = max(1, math.ceil(span / dt - 1e-12)) if span > 0 else 0
+        gaps.append((span / n if n else 0.0, n))
+    return gaps
 
-    Between consecutive outputs the interval is split into equal steps no
-    longer than default_time_step. At each output the raw trace and
-    hermiticity drifts are checked against 1e-7 (DriftError beyond that)
-    and recorded, then the state is resymmetrized and renormalized
-    before being handed out to the observer as a stack of one.
+
+def _rk4_stacks(liouvillian, rho0, times, gaps, chunk):
+    """(start, t_chunk, stack) from fixed-step RK4 in the rotating frame.
+
+    Each output time is reached by its gap of _rk4_gaps. Each state is
+    handed out as stepped, turned back to the lab frame; the stepping
+    goes on from its Hermitized, renormalized copy, so the guards see the
+    raw drift of one gap and it does not build up over the run.
     """
-    dt = default_time_step(liouvillian)
-    dim = liouvillian.dim
     generator = _kernels.rotating_generator(liouvillian)
     omega = float(liouvillian.params.omega)
     exc = liouvillian.spec.excitations()
-    guards = _StackGuards(liouvillian.spec, truncation_guard)
-    states = np.empty((times.size, dim, dim), complex) if observer is None else None
-    steps_total = 0
-
-    # integrate in the rotating frame; outputs are unwound to the lab frame
+    dim = liouvillian.dim
     ph0 = np.exp(-1j * omega * times[0] * exc)
     rho = (ph0.conj()[:, None] * rho0) * ph0[None, :]
-    t_prev = times[0]
-
-    for i, t in enumerate(times):
-        if t > t_prev:
-            span = t - t_prev
-            n = max(1, math.ceil(span / dt - 1e-12))
-            h = span / n
-            rho = _kernels.rk4_advance(generator, rho, h, n)
-            steps_total += n
-            t_prev = t
-
-        drift, herm = guards.drift(rho[None])
-        if drift[0] > 1e-7:
-            raise DriftError(f"trace drifted by {drift[0]:.3e} at t={t:.6g}")
-        if herm[0] > 1e-7:
-            raise DriftError(f"hermiticity defect {herm[0]:.3e} at t={t:.6g}")
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-
-        ph = np.exp(-1j * omega * t * exc)
-        rho_lab = ((ph[:, None] * rho) * ph.conj()[None, :])[None]
-        guards.truncation(rho_lab, times[i : i + 1])
-        if observer is None:
-            states[i] = rho_lab[0]
-        else:
-            observer(i, times[i : i + 1], rho_lab)
-
-    return EvolutionResult(
-        times=times,
-        states=states,
-        method="rk4",
-        diagnostics={**guards.diagnostics(), "dt": dt, "steps_total": steps_total},
-    )
+    for start in range(0, times.size, chunk):
+        tc = times[start : start + chunk]
+        stack = np.empty((tc.size, dim, dim), complex)
+        for k, (h, n) in enumerate(gaps[start : start + tc.size]):
+            if n:
+                rho = _kernels.rk4_advance(generator, rho, h, n)
+            stack[k] = rho
+            rho = 0.5 * (rho + rho.conj().T)
+            rho /= np.trace(rho).real
+        ph = np.exp((-1j * omega * tc)[:, None] * exc)
+        stack *= ph[:, :, None]
+        stack *= ph.conj()[:, None, :]
+        yield start, tc, stack
 
 
 def steady_state(liouvillian):

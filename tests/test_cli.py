@@ -506,6 +506,38 @@ def test_main_reports_physics_guard(tmp_path, capsys):
     assert "TruncationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, source", [
+    ("spectral", "_dressed_stacks"), ("rk4", "_rk4_stacks"),
+])
+def test_main_reports_a_nonfinite_state_as_a_drift_error(
+    tmp_path, capsys, monkeypatch, method, source
+):
+    # a NaN in one state stops the run at evolve's guard, with exit 3 and
+    # one line, before the audit could hand the stack to eigvalsh
+    produce = getattr(jcdiss.propagate, source)
+
+    def poisoned(*args):
+        for start, tc, stack in produce(*args):
+            if start <= 7 < start + tc.size:
+                stack[7 - start, 3, 2] = np.nan
+            yield start, tc, stack
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(a, *args, **kwargs):
+        assert np.isfinite(a).all()
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(jcdiss.propagate, source, poisoned)
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    path = _write_config(tmp_path, _tiny_raw(n_points=11))
+    code = cli.main(["evolve", path, "--out", str(tmp_path / "out"), "--method", method])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("physics guard: DriftError: ") and " at t=3.5 " in err
+
+
 def test_main_reports_oracle_mismatch(tmp_path, capsys, monkeypatch):
     def corrupted(params, amps, times, spec):
         d = spec.dim_total

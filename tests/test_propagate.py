@@ -6,9 +6,11 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+import jcdiss.propagate as propagate
 from jcdiss.errors import (
     DegenerateKernelError,
     DomainError,
+    DriftError,
     ParameterError,
     TruncationError,
 )
@@ -27,6 +29,8 @@ from jcdiss._kernels import rotating_generator
 from jcdiss.lindblad import Liouvillian, build_liouvillian, unvec, vec
 from jcdiss.observables import inversion
 from jcdiss.propagate import (
+    DRIFT_TOL,
+    TRUNCATION_TOL,
     SingleExcitationAmplitudes,
     _expm,
     _grid_step,
@@ -182,37 +186,114 @@ def _observed(liouvillian, psi0, times, chunk, **kwargs):
     return np.concatenate(stacks), result.diagnostics
 
 
-@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
-def test_chunk_size_does_not_change_the_observed_series(kind):
+@pytest.mark.parametrize(
+    "kind, method",
+    [(kind, method) for method in ("spectral", "rk4")
+     for kind in ("microscopic", "phenomenological")],
+    ids=["microscopic", "phenomenological", "microscopic-rk4", "phenomenological-rk4"],
+)
+def test_chunk_size_does_not_change_the_observed_series(kind, method):
     spec = SpaceSpec(8)
     liouvillian = build_liouvillian(kind, _params(delta=1.0, nbar=0.1), spec)
     psi0 = coherent_state(0.5, QUBIT_E, spec)
     times = np.linspace(0.0, 10.0, 37)
-    ref_states, ref_diag = _observed(liouvillian, psi0, times, None)
+    ref_states, ref_diag = _observed(liouvillian, psi0, times, None, method=method)
     assert ref_states.shape[0] == times.size
     for chunk in (1, 3):
-        states, diag = _observed(liouvillian, psi0, times, chunk)
+        states, diag = _observed(liouvillian, psi0, times, chunk, method=method)
         assert np.array_equal(states, ref_states)
         assert np.array_equal(inversion(states, spec), inversion(ref_states, spec))
+        # dt and steps_total included on rk4
         assert diag == ref_diag
 
 
-def test_truncation_error_names_the_first_time_whatever_the_chunk():
+@pytest.mark.parametrize("method", ["spectral", "rk4"])
+def test_truncation_error_names_the_first_time_whatever_the_chunk(method):
     spec = SpaceSpec(4)
     liouvillian = build_liouvillian("microscopic", _params(nbar=2.0), spec)
     psi0 = fock_state(1, QUBIT_E, spec)
     times = np.linspace(0.0, 1.0, 41)
-    free = evolve(liouvillian, psi0, times, truncation_guard=False)
+    free = evolve(liouvillian, psi0, times, method=method, truncation_guard=False)
     top = [spec.index(n, s) for n in (4, 3) for s in (QUBIT_G, QUBIT_E)]
     first = int(np.argmax(free.states[:, top, top].real.sum(axis=1) > 1e-6))
     assert first > 0
     messages = set()
     for chunk in (1, 3, 8, None):
         with pytest.raises(TruncationError) as info:
-            evolve(liouvillian, psi0, times, observer=lambda *args: None, chunk=chunk)
+            evolve(
+                liouvillian, psi0, times, method=method,
+                observer=lambda *args: None, chunk=chunk,
+            )
         messages.add(str(info.value))
     assert len(messages) == 1
     assert f"t={times[first]:.6g};" in messages.pop()
+
+
+_SOURCES = {"spectral": "_dressed_stacks", "rk4": "_rk4_stacks"}
+
+
+def _replay(monkeypatch, method, stack):
+    """Make the stack source of method hand out the given stack, chunk
+    by chunk, instead of propagating."""
+
+    def source(*args):
+        times, chunk = args[2], args[-1]
+        for start in range(0, times.size, chunk):
+            yield start, times[start : start + chunk], stack[start : start + chunk].copy()
+
+    monkeypatch.setattr(propagate, _SOURCES[method], source)
+
+
+@pytest.mark.parametrize("method", ["spectral", "rk4"])
+@pytest.mark.parametrize(
+    "truncated_at, drifted_at, error",
+    [(2, 5, TruncationError), (5, 2, DriftError), (3, 3, DriftError), (None, 6, DriftError)],
+)
+def test_the_earliest_failing_state_names_the_error_whatever_the_chunk(
+    monkeypatch, method, truncated_at, drifted_at, error
+):
+    # every route's stacks pass the one guard loop of evolve: the state
+    # that fails first decides the error, DriftError at a tie
+    spec = SpaceSpec(4)
+    liouvillian = build_liouvillian("microscopic", _params(), spec)
+    psi0 = fock_state(0, QUBIT_G, spec)
+    times = np.linspace(0.0, 1.0, 9)
+    stack = np.repeat(density_matrix(psi0)[None], times.size, axis=0)
+    if truncated_at is not None:
+        top = spec.index(spec.n_max, QUBIT_E)
+        stack[truncated_at, top, top] = 2 * TRUNCATION_TOL
+        stack[truncated_at, 0, 0] -= 2 * TRUNCATION_TOL
+    stack[drifted_at, 0, 0] += 2 * DRIFT_TOL
+    first = drifted_at if truncated_at is None else min(truncated_at, drifted_at)
+    _replay(monkeypatch, method, stack)
+    messages = set()
+    for chunk in (1, 3, 8, None):
+        with pytest.raises(error) as info:
+            evolve(liouvillian, psi0, times, method=method, chunk=chunk)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert f"t={times[first]:.6g}" in messages.pop()
+
+
+@pytest.mark.parametrize(
+    "value", [2 * DRIFT_TOL, np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
+)
+@pytest.mark.parametrize("index", [(0, 0), (5, 2), (2, 5), (9, 9)])
+def test_a_drifted_or_nonfinite_state_is_a_drift_error(index, value):
+    # a trace drift or Hermiticity defect beyond DRIFT_TOL, and a NaN or
+    # inf anywhere: NaN fails every comparison, so the guard asks whether
+    # a state is within the tolerance, never whether it is beyond it
+    spec = SpaceSpec(4)
+    guards = propagate._StackGuards(spec, truncation_guard=False)
+    rho = density_matrix(fock_state(0, QUBIT_G, spec))
+    stack = np.repeat(rho[None], 4, axis=0)
+    stack[2][index] = value
+    times = np.array([0.0, 0.5, 1.5, 2.0])
+    with pytest.raises(DriftError, match=r"at t=1\.5 "):
+        guards.check(stack, times)
+    assert guards.diagnostics() == {
+        "trace_drift_max": 0.0, "herm_defect_max": 0.0, "top_population_max": 0.0,
+    }
 
 
 def test_truncation_guard():
