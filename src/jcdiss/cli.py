@@ -470,7 +470,8 @@ def _merge_invariants(summary, update):
 
 def _prepare(config):
     """Resolved truncation and space of a run; creates the output
-    directory."""
+    directory. Callers build their _jobs first, so that a parameter out
+    of range leaves no directory behind."""
     n_max = _resolve_n_max(config)
     os.makedirs(config.output, exist_ok=True)
     return n_max, SpaceSpec(n_max=n_max)
@@ -504,8 +505,9 @@ def _run_jobs(config, command, job):
     """The loop of every command but oracle: job(config, tag, params,
     spec) -> (files, entry) once per detuning, collected into the
     command's manifest."""
+    jobs = _jobs(config)
     n_max, spec = _prepare(config)
-    results = [job(config, tag, params, spec) for tag, params in _jobs(config)]
+    results = [job(config, tag, params, spec) for tag, params in jobs]
     manifest = _base_manifest(config, n_max, command)
     manifest["jobs"] = [entry for _, entry in results]
     manifest["files"] = sorted(name for files, _ in results for name in files)
@@ -781,6 +783,8 @@ def compare_analytic(config):
             "initial_state.kind: the oracle comparison needs a "
             "single_excitation initial state"
         )
+    # the ranges first, so that a negative nbar_at_omega is reported as such
+    jobs = _jobs(config)
     if config.params.get("nbar_at_omega"):
         raise ConfigError(
             "params.nbar_at_omega: the closed forms hold at zero temperature only"
@@ -801,17 +805,14 @@ def compare_analytic(config):
     worst = {kind: 0.0 for kind in _models(config)}
     worst_entry = dict(worst)
 
-    for tag, params in _jobs(config):
+    for tag, params in jobs:
         for kind in _models(config):
             liouvillian = build_liouvillian(kind, params, spec)
             for trial, amps in enumerate(trials):
                 psi0 = single_excitation_state(amps.alpha, amps.beta, spec)
                 numeric = evolve(liouvillian, psi0, times, method=config.method)
                 closed = analytic_for[kind](params, amps, times, spec)
-                dists = np.array([
-                    trace_distance(numeric.states[i], closed[i])
-                    for i in range(times.size)
-                ])
+                dists = trace_distance(numeric.states, closed)
                 entry_error = float(np.abs(numeric.states - closed).max())
                 run_entry = {
                     "model": kind,

@@ -14,7 +14,7 @@ exact split in the dressed basis (DressedSplit), which is all its
 spectral propagation and steady state need.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,6 +209,8 @@ class DressedSplit:
     decay: np.ndarray
     c: np.ndarray
     s: np.ndarray
+    # propagate's memo of expm(rates span) by span, freed with the split
+    exps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def coherence_rates(self):
         e, g = self.energies, self.decay
@@ -319,19 +321,43 @@ class Liouvillian:
 
 
 def _assemble_superoperator(hamiltonian, channels):
+    """The superoperator of L[rho] = K rho + rho K^dag + sum_k rate_k J_k
+    rho J_k^dag, with K = -iH - M/2 and M = sum_k rate_k J_k^dag J_k, as
+    one canonical CSR matrix converted once from COO triplets.
+
+    Each jump's nonzeros J[r, c] = v give kron(conj(J), J) as their outer
+    product: rate conj(v_i) v_k at (r_i dim + r_k, c_i dim + c_k). The
+    pairs with r_i = r_k are also the entries of rate J^dag J at
+    (c_i, c_k), summed into M in channel order. kron(I, K) and
+    kron(conj(K), I) add one triplet per nonzero of K and index of the
+    identity. Coinciding triplets are summed in the conversion, and
+    entries that cancel to zero are dropped.
+    """
     dim = hamiltonian.shape[0]
-    hs = sp.csr_matrix(hamiltonian)
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    lsup = -1j * (sp.kron(eye, hs, format="csr") - sp.kron(hs.T, eye, format="csr"))
-    msum = sp.csr_matrix((dim, dim), dtype=complex)
+    rows, cols, vals = [], [], []
+    msum = np.zeros((dim, dim), dtype=complex)
     for rate, j in channels:
-        js = sp.csr_matrix(j)
-        js.eliminate_zeros()
-        lsup = lsup + rate * sp.kron(js.conj(), js, format="csr")
-        msum = msum + rate * (js.conj().T @ js)
-    lsup = lsup - 0.5 * sp.kron(eye, msum, format="csr")
-    lsup = lsup - 0.5 * sp.kron(msum.T, eye, format="csr")
-    lsup = sp.csr_matrix(lsup)
+        r, c = np.nonzero(j)
+        v = j[r, c]
+        pairs = rate * (v.conj()[:, None] * v[None, :])
+        rows.append((r[:, None] * dim + r[None, :]).ravel())
+        cols.append((c[:, None] * dim + c[None, :]).ravel())
+        vals.append(pairs.ravel())
+        first, second = np.nonzero(r[:, None] == r[None, :])
+        np.add.at(msum, (c[first], c[second]), pairs[first, second])
+    keff = -1j * hamiltonian - 0.5 * msum
+    r, c = np.nonzero(keff)
+    v = keff[r, c]
+    ident = np.arange(dim)
+    # kron(I, K): block i holds K; kron(conj(K), I): block (r, c) is conj(K[r, c]) I
+    rows += [(ident[:, None] * dim + r).ravel(), (r[:, None] * dim + ident).ravel()]
+    cols += [(ident[:, None] * dim + c).ravel(), (c[:, None] * dim + ident).ravel()]
+    vals += [np.tile(v, dim), np.repeat(v.conj(), dim)]
+    lsup = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim * dim, dim * dim),
+    ).tocsr()
+    lsup.eliminate_zeros()
     lsup.sort_indices()
     return lsup
 

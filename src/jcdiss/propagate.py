@@ -160,27 +160,38 @@ class _Stepper:
     one before, one product of fixed width. Any other grid is stepped
     from one output time to the next with one expm per distinct gap.
     Either way a state is bit-identical whatever counts it is taken in.
+
+    exps memoises expm(gen span) by span. It belongs to the owner of gen
+    (SpectralDecomposition.exps[k] for sector k, DressedSplit.exps for
+    the population rates), so every stepper on gen shares it: a second
+    evolve on the same grid takes no expm.
     """
 
-    def __init__(self, gen, v0, times):
+    def __init__(self, gen, v0, times, exps):
         self.gen = gen
+        self.exps = exps
         self.times = times
         self.step = step = _grid_step(times)
         self.taken = 0
         self.dtype = np.result_type(gen, v0)
-        v = _expm(gen * times[0]) @ v0 if times[0] > 0 else v0
+        v = self._exp(times[0]) @ v0 if times[0] > 0 else v0
         if step is None:
             self.v = v
-            self.gaps = {}
             return
-        unit = _expm(gen * step)
+        unit = self._exp(step)
         self.group = np.zeros((v.size, _TIME_GROUP), self.dtype)
         self.group[:, 0] = v
         for c in range(1, min(_TIME_GROUP, times.size)):
             self.group[:, c] = unit @ self.group[:, c - 1]
         self.index = 0
         if times.size > _TIME_GROUP:
-            self.jump = _expm(gen * (_TIME_GROUP * step))
+            self.jump = self._exp(_TIME_GROUP * step)
+
+    def _exp(self, span):
+        e = self.exps.get(span)
+        if e is None:
+            e = self.exps[span] = _expm(self.gen * span)
+        return e
 
     def take(self, count):
         """The next count states, as the columns of a new array."""
@@ -190,10 +201,7 @@ class _Stepper:
             out = np.empty((self.v.size, count), self.dtype)
             for i in range(start, stop):
                 if i > 0:
-                    gap = self.times[i] - self.times[i - 1]
-                    if gap not in self.gaps:
-                        self.gaps[gap] = _expm(self.gen * gap)
-                    self.v = self.gaps[gap] @ self.v
+                    self.v = self._exp(self.times[i] - self.times[i - 1]) @ self.v
                 out[:, i - start] = self.v
             return out
         parts = []
@@ -225,6 +233,8 @@ class SpectralDecomposition:
     dim: int
     omega: float
     blocks: list
+    # sector k -> _Stepper's memo of expm(matrix span) by span
+    exps: dict = field(default_factory=dict, repr=False)
 
     def propagate_vec(self, steppers, times):
         """The next len(times) states of the steppers, a stack of shape
@@ -385,7 +395,10 @@ def evolve(
 def _sector_stacks(decomp, rho0, times, chunk):
     """(start, t_chunk, stack) from the sectors of the generator."""
     v0 = vec(rho0)
-    steppers = [_Stepper(matrix, v0[idx], times) for idx, _, matrix in decomp.blocks]
+    steppers = [
+        _Stepper(matrix, v0[idx], times, decomp.exps.setdefault(k, {}))
+        for idx, k, matrix in decomp.blocks
+    ]
     for start in range(0, times.size, chunk):
         tc = times[start : start + chunk]
         yield start, tc, decomp.propagate_vec(steppers, tc)
@@ -411,7 +424,7 @@ def _dressed_stacks(liouvillian, rho0, times, chunk):
     tilde0 = split.to_dressed(rho0)
     dim = tilde0.shape[0]
     diag = np.arange(dim)
-    populations = _Stepper(split.rates, tilde0[diag, diag].real, times)
+    populations = _Stepper(split.rates, tilde0[diag, diag].real, times, split.exps)
     tilde0[diag, diag] = 0.0
     level = -1j * (split.energies - omega * (exc - 0.5)) - 0.5 * split.decay
     orders = omega * np.arange(-exc.max(), exc.max() + 1)
@@ -602,14 +615,13 @@ def analytic_microscopic(params, amps, times, spec):
     pmm = np.outer(em, em.conj())
     ppm = np.outer(ep, em.conj())
 
-    states = np.empty((times.size, spec.dim_total, spec.dim_total), dtype=complex)
-    for i, t in enumerate(times):
-        pp = abs(ap) ** 2 * np.exp(-gamma * s0 ** 2 * t)
-        pm = abs(am) ** 2 * np.exp(-gamma * c0 ** 2 * t)
-        coh = ap * np.conj(am) * np.exp((-1j * om0 - 0.5 * gamma) * t)
-        rho = (1.0 - pp - pm) * p00 + pp * ppp + pm * pmm
-        rho += coh * ppm + np.conj(coh) * ppm.conj().T
-        states[i] = rho
+    # one value per time, broadcast against the dim x dim projectors
+    t = times[:, None, None]
+    pp = abs(ap) ** 2 * np.exp(-gamma * s0 ** 2 * t)
+    pm = abs(am) ** 2 * np.exp(-gamma * c0 ** 2 * t)
+    coh = ap * np.conj(am) * np.exp((-1j * om0 - 0.5 * gamma) * t)
+    states = (1.0 - pp - pm) * p00 + pp * ppp + pm * pmm
+    states += coh * ppm + np.conj(coh) * ppm.conj().T
     return states
 
 
@@ -637,24 +649,27 @@ def analytic_phenomenological(params, amps, times, spec):
     vac = ground_vector(spec)
     pvac = np.outer(vac, vac.conj())
 
-    states = np.empty((times.size, spec.dim_total, spec.dim_total), dtype=complex)
-    for i, t in enumerate(times):
-        cosnt = np.cos(nu * t)
-        if abs(nu) * abs(t) < 1e-8 or abs(nu) < 1e-14:
-            sincnt = t * (1.0 - (nu * t) ** 2 / 6.0)
-        else:
-            sincnt = np.sin(nu * t) / nu
-        phase = np.exp(-1j * lam * t)
-        a_t = phase * (cosnt * alpha - 1j * sincnt * (mu * alpha + params.g * beta))
-        b_t = phase * (cosnt * beta - 1j * sincnt * (params.g * alpha - mu * beta))
-        psi = a_t * ke + b_t * kg1
-        rho = np.outer(psi, psi.conj())
-        rho += (1.0 - abs(a_t) ** 2 - abs(b_t) ** 2) * pvac
-        states[i] = rho
+    nut = nu * times
+    cosnt = np.cos(nut)
+    # sin(nu t)/nu, by its series where nu t is too small to divide by
+    sincnt = times * (1.0 - nut ** 2 / 6.0)
+    far = (abs(nu) * np.abs(times) >= 1e-8) & (abs(nu) >= 1e-14)
+    sincnt[far] = np.sin(nut[far]) / nu
+    phase = np.exp(-1j * lam * times)
+    a_t = phase * (cosnt * alpha - 1j * sincnt * (mu * alpha + params.g * beta))
+    b_t = phase * (cosnt * beta - 1j * sincnt * (params.g * alpha - mu * beta))
+    psi = a_t[:, None] * ke + b_t[:, None] * kg1
+    states = psi[:, :, None] * psi.conj()[:, None, :]
+    states += (1.0 - abs(a_t) ** 2 - abs(b_t) ** 2)[:, None, None] * pvac
     return states
 
 
 def trace_distance(rho, sigma):
-    """T(rho, sigma) = (1/2) ||rho - sigma||_1 for Hermitian arguments."""
+    """T(rho, sigma) = (1/2) ||rho - sigma||_1 for Hermitian arguments:
+    a float for one pair of matrices, an array of one value per pair for
+    two stacks (..., dim, dim), by one batched eigvalsh of the
+    differences. eigvalsh reads the lower triangle of each difference
+    only, so an error confined to the upper triangle goes unseen."""
     diff = np.asarray(rho) - np.asarray(sigma)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

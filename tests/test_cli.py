@@ -485,6 +485,26 @@ def test_main_validates_flags_like_the_file(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["evolve", "steady", "rates", "oracle"])
+@pytest.mark.parametrize("param, value", [
+    ("gamma", -0.1), ("g", -1.0), ("nbar_at_omega", -0.5),
+])
+def test_out_of_range_parameter_exits_2_and_makes_no_directory(
+    tmp_path, capsys, command, param, value
+):
+    # every job's SystemParams is built before the output directory; the
+    # oracle checks ranges before its zero-temperature rule
+    raw = _tiny_raw(n_points=11)
+    raw["params"][param] = value
+    path = _write_config(tmp_path, raw)
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: params: ") and f"{param} must be nonnegative" in err
+    assert not os.path.exists(out)
+
+
 def test_method_flag_keeps_the_file_hash(tmp_path):
     path = _write_config(tmp_path, _tiny_raw(n_points=11))
     out = tmp_path / "out"
@@ -622,3 +642,15 @@ def test_benchmark_trace_sites_resolve():
             assert callable(getattr(target, attr, None)), (name, owner, attr)
     for name in tracer.OBSERVABLE_NAMES:
         assert name in OBSERVABLES, name
+
+
+def test_benchmark_records_share_their_keys():
+    # every BENCH_<n>.json at the root is one JSON object with these keys
+    names = sorted(n for n in os.listdir(REPO_ROOT)
+                   if n.startswith("BENCH_") and n.endswith(".json"))
+    assert names
+    for name in names:
+        with open(os.path.join(REPO_ROOT, name), encoding="utf-8") as fh:
+            record = json.load(fh)
+        missing = {"change", "command", "machine", "method", "runs", "summary"} - set(record)
+        assert not missing, (name, sorted(missing))

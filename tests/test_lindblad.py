@@ -300,3 +300,41 @@ def test_superoperator_is_sparse_csr():
     d = liouvillian.dim
     assert liouvillian.matrix.shape == (d * d, d * d)
     assert liouvillian.dim_super == d * d
+
+
+def _kron_sum_superoperator(hamiltonian, channels):
+    # the sum of one sp.kron per term that _assemble_superoperator replaces
+    dim = hamiltonian.shape[0]
+    hs = sp.csr_matrix(hamiltonian)
+    eye = sp.identity(dim, dtype=complex, format="csr")
+    lsup = -1j * (sp.kron(eye, hs, format="csr") - sp.kron(hs.T, eye, format="csr"))
+    msum = sp.csr_matrix((dim, dim), dtype=complex)
+    for rate, j in channels:
+        js = sp.csr_matrix(j)
+        js.eliminate_zeros()
+        lsup = lsup + rate * sp.kron(js.conj(), js, format="csr")
+        msum = msum + rate * (js.conj().T @ js)
+    lsup = lsup - 0.5 * sp.kron(eye, msum, format="csr")
+    lsup = lsup - 0.5 * sp.kron(msum.T, eye, format="csr")
+    lsup = sp.csr_matrix(lsup)
+    lsup.sort_indices()
+    return lsup
+
+
+@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
+@pytest.mark.parametrize("nbar", [0.0, 0.4])
+@pytest.mark.parametrize("n_max", [2, 8])
+def test_one_pass_assembly_matches_the_kron_sum(kind, nbar, n_max):
+    # same pattern once explicit zeros are dropped on both sides; the
+    # entries differ only by the order coinciding terms are summed in
+    liouvillian = build_liouvillian(kind, _params(delta=1.5, nbar=nbar), SpaceSpec(n_max))
+    got = liouvillian.matrix
+    want = _kron_sum_superoperator(liouvillian.hamiltonian, liouvillian.channels)
+    assert got.format == "csr" and got.has_canonical_format
+    got, want = got.copy(), want.copy()
+    got.eliminate_zeros()
+    want.eliminate_zeros()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    scale = np.abs(want.data).max()
+    assert np.abs(got.data - want.data).max() <= 4 * np.finfo(float).eps * scale

@@ -24,7 +24,7 @@ from jcdiss.hilbert import (
     partial_trace_qubit,
     single_excitation_state,
 )
-from jcdiss.dressed import SystemParams, dressed_spectrum, dressed_vector
+from jcdiss.dressed import SystemParams, dressed_spectrum, dressed_vector, ground_vector
 from jcdiss._kernels import rotating_generator
 from jcdiss.lindblad import Liouvillian, build_liouvillian, unvec, vec
 from jcdiss.observables import inversion
@@ -473,3 +473,132 @@ def test_trace_distance_basics():
     r2 = density_matrix(fock_state(1, QUBIT_E, spec))
     assert trace_distance(r1, r1) == 0.0
     assert trace_distance(r1, r2) == pytest.approx(1.0)
+
+
+def test_trace_distance_of_a_stack_is_each_pair_bit_for_bit():
+    # one batched eigvalsh over the stack gives every pair exactly the
+    # value it takes on its own; a single pair stays a Python float
+    rng = np.random.default_rng(23)
+    for dim, count in ((2, 5), (9, 40), (18, 200)):
+        shape = (count, dim, dim)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = a + a.conj().transpose(0, 2, 1)
+        sigma = b + b.conj().transpose(0, 2, 1)
+        stack = trace_distance(rho, sigma)
+        assert stack.shape == (count,)
+        pairs = [trace_distance(r, s) for r, s in zip(rho, sigma)]
+        assert all(type(d) is float for d in pairs)
+        assert stack.tolist() == pairs
+
+
+def _looped_microscopic(params, amps, times, spec):
+    # the per-time loop analytic_microscopic broadcasts over the grid
+    spectrum = dressed_spectrum(params, spec)
+    c0, s0 = spectrum.c[0], spectrum.s[0]
+    om0 = spectrum.Omega[0]
+    gamma = params.gamma
+    ap = c0 * amps.alpha + s0 * amps.beta
+    am = -s0 * amps.alpha + c0 * amps.beta
+    e0 = ground_vector(spec)
+    ep = dressed_vector(spectrum, spec, 0, +1)
+    em = dressed_vector(spectrum, spec, 0, -1)
+    p00 = np.outer(e0, e0.conj())
+    ppp = np.outer(ep, ep.conj())
+    pmm = np.outer(em, em.conj())
+    ppm = np.outer(ep, em.conj())
+    states = np.empty((times.size, spec.dim_total, spec.dim_total), dtype=complex)
+    for i, t in enumerate(times):
+        pp = abs(ap) ** 2 * np.exp(-gamma * s0 ** 2 * t)
+        pm = abs(am) ** 2 * np.exp(-gamma * c0 ** 2 * t)
+        coh = ap * np.conj(am) * np.exp((-1j * om0 - 0.5 * gamma) * t)
+        rho = (1.0 - pp - pm) * p00 + pp * ppp + pm * pmm
+        rho += coh * ppm + np.conj(coh) * ppm.conj().T
+        states[i] = rho
+    return states
+
+
+def _looped_phenomenological(params, amps, times, spec):
+    # the per-time loop analytic_phenomenological broadcasts over the grid
+    lam = 0.5 * params.omega - 0.25j * params.gamma
+    mu = 0.5 * params.delta + 0.25j * params.gamma
+    nu = np.sqrt(mu * mu + params.g * params.g + 0j)
+    alpha, beta = complex(amps.alpha), complex(amps.beta)
+    ke = np.zeros(spec.dim_total, dtype=complex)
+    ke[spec.index(0, QUBIT_E)] = 1.0
+    kg1 = np.zeros(spec.dim_total, dtype=complex)
+    kg1[spec.index(1, QUBIT_G)] = 1.0
+    vac = ground_vector(spec)
+    pvac = np.outer(vac, vac.conj())
+    states = np.empty((times.size, spec.dim_total, spec.dim_total), dtype=complex)
+    for i, t in enumerate(times):
+        cosnt = np.cos(nu * t)
+        if abs(nu) * abs(t) < 1e-8 or abs(nu) < 1e-14:
+            sincnt = t * (1.0 - (nu * t) ** 2 / 6.0)
+        else:
+            sincnt = np.sin(nu * t) / nu
+        phase = np.exp(-1j * lam * t)
+        a_t = phase * (cosnt * alpha - 1j * sincnt * (mu * alpha + params.g * beta))
+        b_t = phase * (cosnt * beta - 1j * sincnt * (params.g * alpha - mu * beta))
+        psi = a_t * ke + b_t * kg1
+        rho = np.outer(psi, psi.conj())
+        rho += (1.0 - abs(a_t) ** 2 - abs(b_t) ** 2) * pvac
+        states[i] = rho
+    return states
+
+
+_MODEL_PARAMS = [(0.0, 0.2, 1.0), (-2.5, 0.2, 1.0), (1.5, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("closed, looped, delta, gamma, g", [
+    (analytic_microscopic, _looped_microscopic, *case) for case in _MODEL_PARAMS
+] + [
+    (analytic_phenomenological, _looped_phenomenological, *case)
+    for case in _MODEL_PARAMS + [(0.0, 0.0, 0.0)]
+])
+def test_closed_forms_match_their_per_time_loops(closed, looped, delta, gamma, g):
+    # t = 0 and 1e-9 take the sinc series, and so does every time of the
+    # decoupled phenomenological case (nu = 0), where the dressed form is
+    # not defined
+    spec = SpaceSpec(4)
+    params = _params(delta=delta, gamma=gamma, g=g)
+    times = np.concatenate([[0.0, 1e-9], np.linspace(0.0, 30.0, 61)[1:]])
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        v = rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        amps = SingleExcitationAmplitudes(complex(v[0], v[1]), complex(v[2], v[3]))
+        got = closed(params, amps, times, spec)
+        want = looped(params, amps, times, spec)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 12.0, 41), np.array([0.5, 1.0, 2.5, 2.5, 7.0]),
+], ids=["uniform", "uneven"])
+def test_second_evolve_on_one_generator_takes_no_expm(monkeypatch, kind, times):
+    # the step exponentials live on the generator's owner (DressedSplit or
+    # SpectralDecomposition), so a repeated grid reuses every one of them
+    spec = SpaceSpec(5)
+    liouvillian = build_liouvillian(kind, _params(delta=1.0, nbar=0.2), spec)
+    calls = []
+    expm = propagate._expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(propagate, "_expm", counting)
+    def run(n):
+        psi0 = fock_state(n, QUBIT_E, spec)
+        return evolve(liouvillian, psi0, times, truncation_guard=False).states
+
+    first = run(1)
+    assert calls
+    calls.clear()
+    second, again = run(0), run(1)
+    assert calls == []
+    assert np.array_equal(again, first)
+    assert not np.array_equal(second, first)
