@@ -19,11 +19,11 @@ With G this linear superoperator, one RK4 step of size h is exactly the
 step matrix P(h) = I + hG (I + hG/2 (I + hG/3 (I + hG/4))), the degree-4
 Taylor polynomial of exp(hG) that the four stages compute, and n steps
 are exactly P(h)^n. rk4_advance keeps one _Gap per distinct (h, n) on
-the generator: it builds P once, as one sparse matrix, and applies one
-sparse matvec per step. A gap that recurs, as the few gaps of a uniform
-output grid do hundreds of times, then builds P(h)^n by binary powering,
-paid for by the stepping it has already done, and from then on is one
-sparse matvec per call.
+the generator. Its first call builds P as one sparse matrix and steps,
+one sparse matvec per step. Its second call builds P(h)^n by binary
+powering, so a gap that recurs, as the few gaps of a uniform output
+grid do hundreds of times, is one sparse matvec per call from then on,
+and a gap met once builds nothing.
 """
 
 import numpy as np
@@ -61,79 +61,40 @@ def _step_polynomial(generator, dt):
     return p
 
 
-def _multiplications(a, b):
-    """Scalar multiplications the CSR product a @ b takes: each stored
-    a[i, k] meets every stored entry of row k of b."""
-    return int(np.diff(b.indptr)[a.indices].sum())
-
-
 def _powering(step, n):
-    """step^n for n >= 1 by binary powering, the product of the squares
-    step^(2^j) over the set bits j of n, as a generator: it yields the
-    multiplications of each sparse product before taking it and returns
-    step^n."""
+    """step^n for n >= 1 by binary powering: the product of the squares
+    step^(2^j) over the set bits j of n."""
     power = None
     while True:
         if n & 1:
-            if power is None:
-                power = step
-            else:
-                yield _multiplications(power, step)
-                power = power @ step
+            power = step if power is None else power @ step
         n >>= 1
         if not n:
             return power
-        yield _multiplications(step, step)
         step = step @ step
 
 
 class _Gap:
-    """n_steps RK4 steps of one size h: the step matrix P(h), and
-    P(h)^n_steps once the stepping has paid for it.
-
-    Each call that steps banks the n_steps * nnz(P) multiplications it
-    took. From the second call on, the bank pays for the sparse products
-    of _powering, each at its count of multiplications and only as far
-    as the bank covers, so building never costs a gap more
-    multiplications than it has already spent stepping, and a gap met
-    once builds nothing. The finished power replaces P unless it holds
-    more than n_steps * nnz(P) entries: one product with it would then
-    cost more than the steps, so it is dropped and the gap keeps
-    stepping.
-    """
+    """n_steps RK4 steps of one size h, taken as repeat products with
+    matrix: P(h) n_steps times on the gap's first call, and from its
+    second call on P(h)^n_steps once, unless that power holds more than
+    n_steps * nnz(P) entries; one product with it would then cost more
+    than the steps, so it is dropped and the gap keeps stepping."""
 
     def __init__(self, step, n_steps):
-        self.step = step
-        self.n_steps = n_steps
-        self.power = None
-        self.bank = 0  # None once a power was dropped: never build again
-        self._build = None  # the running _powering generator
-        self._price = 0  # multiplications of its next product
+        self.matrix = step
+        self.repeat = n_steps
+        self.calls = 0
 
     def advance(self, v):
-        if self.power is None and self.bank:
-            self._pay()
-        if self.power is not None:
-            return self.power @ v
-        for _ in range(self.n_steps):
-            v = self.step @ v
-        if self.bank is not None:
-            self.bank += self.n_steps * self.step.nnz
+        self.calls += 1
+        if self.calls == 2 and self.repeat > 1:
+            power = _powering(self.matrix, self.repeat)
+            if power.nnz <= self.repeat * self.matrix.nnz:
+                self.matrix, self.repeat = power, 1
+        for _ in range(self.repeat):
+            v = self.matrix @ v
         return v
-
-    def _pay(self):
-        if self._build is None:
-            self._build = _powering(self.step, self.n_steps)
-        try:
-            while self.bank >= self._price:
-                self.bank -= self._price
-                self._price = next(self._build)
-        except StopIteration as done:
-            self._build = None
-            if done.value.nnz <= self.n_steps * self.step.nnz:
-                self.power, self.step = done.value, None
-            else:
-                self.bank = None
 
 
 def rk4_advance(generator, rho, dt, n_steps):
@@ -141,8 +102,8 @@ def rk4_advance(generator, rho, dt, n_steps):
     generator; returns a new array and leaves rho untouched.
 
     The steps are taken by the _Gap of (dt, n_steps): n_steps products
-    with the step matrix P(dt), or, once a recurring gap has paid for
-    it, one product with P(dt)^n_steps. The gaps are cached on the
+    with the step matrix P(dt) on its first call, and one product with
+    P(dt)^n_steps from its second call on. The gaps are cached on the
     generator, so they last as long as it does: _rk4_stacks makes a fresh
     one per call, as rotating_generator returns. Beyond _MAX_GAPS gaps
     the oldest is dropped.

@@ -226,18 +226,8 @@ def parse_config(raw, source="<config>"):
     if kind == "fock":
         n = _get_int(init, "n", "initial_state", required=True)
         _expect(n >= 0, "initial_state.n", "must be nonnegative")
-        _expect(
-            init.get("qubit_level") in _QUBIT_LEVELS,
-            "initial_state.qubit_level",
-            f"expected one of {sorted(_QUBIT_LEVELS)}",
-        )
     elif kind == "coherent":
         _get_complex(init, "alpha", "initial_state")
-        _expect(
-            init.get("qubit_level") in _QUBIT_LEVELS,
-            "initial_state.qubit_level",
-            f"expected one of {sorted(_QUBIT_LEVELS)}",
-        )
     elif kind == "single_excitation":
         alpha = _get_complex(init, "alpha", "initial_state")
         beta = _get_complex(init, "beta", "initial_state")
@@ -250,6 +240,13 @@ def parse_config(raw, source="<config>"):
         raise ConfigError(
             "initial_state.kind: expected one of "
             f"['fock', 'coherent', 'single_excitation'], got {kind!r}"
+        )
+    if kind != "single_excitation":
+        level = init.get("qubit_level")
+        _expect(
+            isinstance(level, str) and level in _QUBIT_LEVELS,
+            "initial_state.qubit_level",
+            f"expected one of {sorted(_QUBIT_LEVELS)}",
         )
 
     t_max = _get_number(raw, "t_max", source, required=True)
@@ -277,7 +274,7 @@ def parse_config(raw, source="<config>"):
                     observables.append(sub)
             continue
         _expect(
-            name in OBSERVABLES,
+            isinstance(name, str) and name in OBSERVABLES,
             f"observables[{i}]",
             f"unknown observable {name!r}; known: "
             f"{sorted(OBSERVABLES) + ['quadratures']}",
@@ -393,6 +390,15 @@ def _jobs(config):
     return jobs
 
 
+def _require_coupling(config, command):
+    """g = 0 is the decoupled limit of the phenomenological model only: a
+    command that needs the dressed spectrum (rates, or any with the
+    microscopic model) rejects it before its output directory exists."""
+    dressed = command == "rates" or "microscopic" in _models(config)
+    if dressed and config.params.get("g") == 0:
+        raise ConfigError("params.g: the dressed spectrum requires g > 0")
+
+
 def _models(config):
     if config.model == "both":
         return list(_MODELS)
@@ -506,6 +512,7 @@ def _run_jobs(config, command, job):
     spec) -> (files, entry) once per detuning, collected into the
     command's manifest."""
     jobs = _jobs(config)
+    _require_coupling(config, command)
     n_max, spec = _prepare(config)
     results = [job(config, tag, params, spec) for tag, params in jobs]
     manifest = _base_manifest(config, n_max, command)
@@ -785,6 +792,7 @@ def compare_analytic(config):
         )
     # the ranges first, so that a negative nbar_at_omega is reported as such
     jobs = _jobs(config)
+    _require_coupling(config, "oracle")
     if config.params.get("nbar_at_omega"):
         raise ConfigError(
             "params.nbar_at_omega: the closed forms hold at zero temperature only"

@@ -277,8 +277,8 @@ class Liouvillian:
     sector split and RK4 step; it is assembled on first access and
     cached. RK4 does not multiply by it directly: from its rotating-frame
     form it builds one sparse step matrix P(h) per distinct output gap
-    of n steps, and for a gap that recurs often enough to pay for it the
-    one sparse matrix P(h)^n (_kernels.rk4_advance). dressed is the
+    of n steps, and on the gap's second call the one sparse matrix
+    P(h)^n (_kernels.rk4_advance). dressed is the
     DressedSplit of the microscopic generator (None for the
     phenomenological one): with it, spectral propagation and the steady
     state never assemble matrix.

@@ -17,8 +17,8 @@ they can cross-check each other:
   step-size requirement is set by the coupling and detuning scales
   instead of the optical frequency. Each step applies the RK4 step
   polynomial P(h) as one sparse matrix, built once per distinct output
-  gap of n steps; once a recurring gap's stepping has paid for building
-  P(h)^n, the gap is one product with it (_kernels.rk4_advance).
+  gap of n steps; from the gap's second call on it is one product with
+  P(h)^n (_kernels.rk4_advance).
 
 Each route is a source of stacks of lab-frame states, and evolve runs
 one loop over the source it picks: guards, then store or observe.
@@ -451,12 +451,12 @@ def default_time_step(liouvillian):
     h_frame = np.array(h, dtype=complex)
     exc = liouvillian.spec.excitations()
     h_frame[np.diag_indices(dim)] -= liouvillian.params.omega * exc
-    msum = np.zeros((dim, dim), dtype=complex)
-    for rate, j in liouvillian.channels:
-        msum += rate * (j.conj().T @ j)
     evals = np.linalg.eigvalsh(0.5 * (h_frame + h_frame.conj().T))
     spread = float(evals.max() - evals.min()) if dim > 1 else 0.0
-    decay = float(np.max(np.abs(np.diag(msum)))) if liouvillian.channels else 0.0
+    # the decay rate of basis state c, the diagonal entry c of
+    # sum_k rate_k J_k^dag J_k, is sum_k rate_k sum_r |J_k[r, c]|^2
+    channels = liouvillian.channels
+    decay = float(np.max(sum(rate * (np.abs(j) ** 2).sum(axis=0) for rate, j in channels)))
     return 0.005 / max(spread + decay, 1e-9)
 
 

@@ -505,6 +505,49 @@ def test_out_of_range_parameter_exits_2_and_makes_no_directory(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, model", [
+    ("evolve", "microscopic"), ("evolve", "both"), ("steady", "microscopic"),
+    ("husimi", "microscopic"), ("oracle", "microscopic"), ("oracle", "both"),
+    ("rates", "microscopic"), ("rates", "phenomenological"),
+])
+def test_zero_coupling_without_a_dressed_spectrum_exits_2_and_makes_no_directory(
+    tmp_path, capsys, command, model
+):
+    # g = 0 is the decoupled limit of the phenomenological model; the
+    # dressed spectrum (microscopic model, rate table) has none
+    raw = _tiny_raw(n_points=11, model=model, husimi={"times": [0.0]})
+    raw["params"]["g"] = 0.0
+    path = _write_config(tmp_path, raw)
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: params.g: the dressed spectrum requires g > 0\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("observables", [["inversion"]]),
+    ("initial_state", {"kind": "fock", "n": 1, "qubit_level": ["ground"]}),
+    ("initial_state", {"kind": "coherent", "alpha": 1.0, "qubit_level": {"x": 1}}),
+])
+def test_unhashable_name_is_a_config_error(tmp_path, capsys, field, value):
+    # a list or object where a name belongs is not looked up in a table
+    path = _write_config(tmp_path, _tiny_raw(n_points=11, **{field: value}))
+    out = str(tmp_path / "out")
+    assert cli.main(["evolve", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+    assert not os.path.exists(out)
+
+
+def test_zero_coupling_runs_the_phenomenological_model(tmp_path):
+    raw = _tiny_raw(n_points=11, model="phenomenological")
+    raw["params"]["g"] = 0
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", path, "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+
 def test_method_flag_keeps_the_file_hash(tmp_path):
     path = _write_config(tmp_path, _tiny_raw(n_points=11))
     out = tmp_path / "out"
@@ -642,6 +685,44 @@ def test_benchmark_trace_sites_resolve():
             assert callable(getattr(target, attr, None)), (name, owner, attr)
     for name in tracer.OBSERVABLE_NAMES:
         assert name in OBSERVABLES, name
+
+
+_TRACED_RUN = """
+import json, sys
+import tracer as tracing
+from jcdiss import cli
+config, out, dump = sys.argv[1:]
+trace = tracing.Tracer()
+trace.install()
+span = trace.command()
+code = cli.main(["evolve", config, "--method", "rk4", "--out", out])
+trace.end_command(span)
+trace.dump(dump)
+sys.exit(code)
+"""
+
+
+def test_benchmark_tracer_counts_the_rk4_steps(tmp_path):
+    # the traced mode counts rk4_advance's fourth argument as steps; run in
+    # a child process so that its wrappers stay out of this one
+    raw = _tiny_raw(n_points=11, model="both")
+    path = _write_config(tmp_path, raw)
+    out, dump = tmp_path / "out", tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "jcbench")]
+    ))
+    child = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, path, str(out), str(dump)],
+        capture_output=True, text=True, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    trace = json.loads(dump.read_text())
+    assert trace["missing"] == [] and trace["broken"] == []
+    models = json.loads((out / "manifest.json").read_text())["jobs"][0]["models"]
+    assert sorted(models) == ["microscopic", "phenomenological"]
+    steps = sum(entry["steps_total"] for entry in models.values())
+    assert steps > 0 and trace["counters"]["rk4_steps"] == steps
+    assert trace["counters"]["states"] == len(models) * raw["n_points"]
 
 
 def test_benchmark_records_share_their_keys():

@@ -58,23 +58,22 @@ def _staged_rk4(generator, rho, dt, n_steps):
 @pytest.mark.parametrize("nbar", [0.0, 0.5])
 def test_advance_matches_staged_rk4(kind, nbar):
     # the step matrix and its power regroup the stages' arithmetic:
-    # rounding only, measured at most 1.8e-14 relative over these cases.
-    # Each (dt, n_steps) is called until it has applied P(dt)^n_steps
+    # rounding only, measured at most 1.1e-14 relative on call 1 of each
+    # (dt, n_steps), which steps with P(dt), and 1.8e-14 on call 2, which
+    # applies P(dt)^n_steps
     liouvillian = _liouvillian(kind, nbar)
     generator = _kernels.rotating_generator(liouvillian)
     rho = _random_state(liouvillian.dim, 5)
     for dt, n_steps in ((1e-3, 1), (1e-3, 50), (7e-3, 200), (0.02, 13)):
         want = _staged_rk4(generator, rho, dt, n_steps)
-        for call in range(32):
-            gap = generator.__dict__.get("_rk4_gaps", {}).get((dt, n_steps))
-            by_power = gap is not None and gap.power is not None
+        for call in (1, 2):
             got = _kernels.rk4_advance(generator, rho, dt, n_steps)
+            gap = generator._rk4_gaps[dt, n_steps]
+            assert gap.calls == call
+            assert gap.repeat == (n_steps if call == 1 else 1)
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max(), (
                 dt, n_steps, call
             )
-            if by_power:
-                break
-        assert by_power, (dt, n_steps)
 
 
 def test_evolve_builds_one_step_matrix_per_gap_length(monkeypatch):
@@ -94,42 +93,39 @@ def test_evolve_builds_one_step_matrix_per_gap_length(monkeypatch):
     assert len(set(builds)) == len(builds)
 
 
-def test_power_paid_for_by_recurring_gaps(monkeypatch):
+def _counted_powering(monkeypatch):
     builds = []
     powering = _kernels._powering
 
     def counted(step, n):
-        # keeps step alive, so id(step) names its gap; records the prices
-        prices = []
-        builds.append((step, n, prices))
-        products = powering(step, n)
-        while True:
-            try:
-                price = next(products)
-            except StopIteration as done:
-                return done.value
-            prices.append(price)
-            yield price
+        builds.append((step, n))
+        return powering(step, n)
 
     monkeypatch.setattr(_kernels, "_powering", counted)
+    return builds
+
+
+def test_power_built_on_a_gaps_second_call(monkeypatch):
+    builds = _counted_powering(monkeypatch)
     liouvillian = _liouvillian(nbar=0.0)
     generator = _kernels.rotating_generator(liouvillian)
     rho = _random_state(liouvillian.dim, 3)
+    # a gap met once builds nothing, nor does one of zero or one step
     for dt, n_steps in ((1e-3, 40), (1e-3, 41), (2e-3, 40)):
         _kernels.rk4_advance(generator, rho, dt, n_steps)
+    for _ in range(3):
+        assert np.array_equal(_kernels.rk4_advance(generator, rho, 1e-3, 0), rho)
+        _kernels.rk4_advance(generator, rho, 4e-3, 1)
     assert builds == []
 
-    # a recurring gap starts one build and spends on it no more
-    # multiplications than its stepping took before it was done
-    for calls in range(1, 65):
-        _kernels.rk4_advance(generator, rho, 3e-3, 40)
-        gap = generator._rk4_gaps[3e-3, 40]
-        if gap.power is not None:
-            break
-    assert gap.power is not None and len(builds) == 1
+    # the second call builds the power, exactly once
     step_nnz = _kernels._step_polynomial(generator, 3e-3).nnz
-    assert 0 < sum(builds[0][2]) <= (calls - 1) * 40 * step_nnz
-    assert gap.power.nnz <= 40 * step_nnz
+    for call in range(1, 9):
+        _kernels.rk4_advance(generator, rho, 3e-3, 40)
+        assert len(builds) == (0 if call == 1 else 1), call
+    gap = generator._rk4_gaps[3e-3, 40]
+    assert builds[0][1] == 40 and gap.repeat == 1
+    assert gap.matrix.nnz <= 40 * step_nnz
 
     # a linspace grid repeats its few gaps: one build each at most
     builds.clear()
@@ -137,12 +133,13 @@ def test_power_paid_for_by_recurring_gaps(monkeypatch):
     psi0 = fock_state(1, QUBIT_E, liouvillian.spec)
     evolve(liouvillian, psi0, times, method="rk4")
     assert 1 <= len(builds) <= len(set(np.diff(times)))
-    assert len({id(step) for step, _, _ in builds}) == len(builds)
+    assert len({id(step) for step, _ in builds}) == len(builds)
 
 
-def test_power_denser_than_its_steps_is_dropped():
+def test_power_denser_than_its_steps_is_dropped(monkeypatch):
     # three random entries a row: P holds up to 1 + 3 + ... + 3^4 = 121
     # entries a row, P^2 fills most of each 484-entry row
+    builds = _counted_powering(monkeypatch)
     rng = np.random.default_rng(11)
     dim_super = 22 * 22
     rows = np.repeat(np.arange(dim_super), 3)
@@ -154,16 +151,14 @@ def test_power_denser_than_its_steps_is_dropped():
     for _ in range(64):
         got = _kernels.rk4_advance(generator, rho, 1e-2, 2)
         assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-        gap = generator._rk4_gaps[1e-2, 2]
-        if gap.bank is None:
-            break
-    # the finished power was dropped, never to be built again
-    assert gap.bank is None and gap.power is None
-    step = gap.step
+    # the power was built once, on the second call, and dropped: the gap
+    # steps with P for the rest of the run
+    gap = generator._rk4_gaps[1e-2, 2]
+    assert len(builds) == 1 and gap.calls == 64
+    step = gap.matrix
+    assert gap.repeat == 2
     assert _kernels._step_polynomial(generator, 1e-2).nnz == step.nnz
     assert (step @ step).nnz > 2 * step.nnz
-    _kernels.rk4_advance(generator, rho, 1e-2, 2)
-    assert gap.bank is None and gap.power is None and gap.step is step
 
 
 def test_rotating_frame_shifts_only_the_diagonal():

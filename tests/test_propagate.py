@@ -123,6 +123,33 @@ def test_default_time_step_frames():
     assert dt > 20 * 0.005 / liouvillian.params.omega
 
 
+def _per_channel_time_step(liouvillian):
+    # the rule as first written: one dense J^dag J per channel, of which
+    # only the diagonal is read
+    h = liouvillian.hamiltonian
+    dim = h.shape[0]
+    h_frame = np.array(h, dtype=complex)
+    h_frame[np.diag_indices(dim)] -= liouvillian.params.omega * liouvillian.spec.excitations()
+    msum = np.zeros((dim, dim), dtype=complex)
+    for rate, j in liouvillian.channels:
+        msum += rate * (j.conj().T @ j)
+    evals = np.linalg.eigvalsh(0.5 * (h_frame + h_frame.conj().T))
+    decay = float(np.max(np.abs(np.diag(msum)))) if liouvillian.channels else 0.0
+    return 0.005 / max(float(evals.max() - evals.min()) + decay, 1e-9)
+
+
+@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
+@pytest.mark.parametrize("nbar", [0.0, 0.1])
+@pytest.mark.parametrize("n_max", [4, 14])
+def test_default_time_step_reads_the_decay_off_column_norms(kind, nbar, n_max):
+    for delta in (0.0, 2.0, -2.0, 4.0):
+        params = _params(delta=delta, nbar=nbar)
+        liouvillian = build_liouvillian(kind, params, SpaceSpec(n_max))
+        want = _per_channel_time_step(liouvillian)
+        got = default_time_step(liouvillian)
+        assert abs(got - want) <= 2 * np.spacing(want), (delta, got, want)
+
+
 def test_spectral_identity_at_t_zero():
     spec = SpaceSpec(5)
     liouvillian = build_liouvillian("microscopic", _params(delta=2.0), spec)
