@@ -23,6 +23,7 @@ mismatch.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -105,16 +106,24 @@ def _expect(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
+def _is_finite_number(value):
+    """A JSON number other than a bool, NaN, +-Infinity (which Python's
+    json module accepts) or an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _get_number(obj, key, path, default=None, required=False):
     if key not in obj:
         _expect(not required, f"{path}.{key}", "missing required field")
         return default
     value = obj[key]
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{path}.{key}",
-        f"expected a number, got {value!r}",
-    )
+    _expect(_is_finite_number(value), f"{path}.{key}",
+            f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -137,15 +146,13 @@ def _get_complex(obj, key, path, required=True):
         _expect(not required, f"{path}.{key}", "missing required field")
         return None
     value = obj[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_finite_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_finite_number, value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{path}.{key}: expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(
+        f"{path}.{key}: expected a finite number or [re, im] pair, got {value!r}"
+    )
 
 
 _TOP_LEVEL_KEYS = {
@@ -195,9 +202,9 @@ def parse_config(raw, source="<config>"):
         )
         for i, d in enumerate(detunings):
             _expect(
-                isinstance(d, (int, float)) and not isinstance(d, bool),
+                _is_finite_number(d),
                 f"detunings[{i}]",
-                f"expected a number, got {d!r}",
+                f"expected a finite number, got {d!r}",
             )
         _expect(
             len(set(float(d) for d in detunings)) == len(detunings),
@@ -295,9 +302,9 @@ def parse_config(raw, source="<config>"):
         )
         for i, t in enumerate(times):
             _expect(
-                isinstance(t, (int, float)) and not isinstance(t, bool) and t >= 0,
+                _is_finite_number(t) and t >= 0,
                 f"husimi.times[{i}]",
-                f"expected a nonnegative number, got {t!r}",
+                f"expected a finite nonnegative number, got {t!r}",
             )
         _expect(
             list(times) == sorted(times),
@@ -449,12 +456,24 @@ def _default_extent(initial_state):
 
 
 def _write_csv(path, header, columns):
-    """All cells as '%.17g': full round-trip precision, byte-stable."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    cells = zip(*(np.asarray(col).tolist() for col in columns))
+    """All cells as '%.17g': full round-trip precision, byte-stable.
+
+    Each column goes through a float64 copy (integer columns too, whose
+    text is unchanged below 2**53), each of its distinct values is
+    formatted once, and the text is placed by index. Values are told
+    apart by bit pattern, so -0.0 and 0.0, and NaNs of different
+    payloads, each keep their own text: the bytes are those of
+    formatting every cell."""
+    cells = []
+    for col in columns:
+        values = np.array(col, dtype=np.float64)
+        distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
+        text = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
+        cells.append(np.array(text, dtype=object)[where].tolist())
+    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in cells)
+        fh.writelines(map(row.__mod__, zip(*cells)))
 
 
 def _write_json(path, payload):
@@ -632,21 +651,20 @@ def _husimi_snapshots(liouvillian, state, config, tag):
     snapshots = []
 
     def observe(i0, tc, stack):
-        for k, (t, rho) in enumerate(zip(tc, stack)):
-            snapshots.append((i0 + k, t, husimi_q(rho, spec, grid)))
+        snapshots.extend(zip(range(i0, i0 + tc.size), tc, husimi_q(stack, spec, grid)))
 
     model_entry = _observed_run(liouvillian, state, times, config.method, observe)
 
     files = []
     index = []
     kind = liouvillian.kind
+    xs, ys = (axis.ravel() for axis in np.meshgrid(*grid.axes()))
     for i, t, phase_grid in snapshots:
         name = f"husimi_{kind}{tag}_t{i}.csv"
-        xs, ys = np.meshgrid(phase_grid.x, phase_grid.y)
         _write_csv(
             os.path.join(config.output, name),
             ["re_alpha", "im_alpha", "q"],
-            [xs.ravel(), ys.ravel(), phase_grid.values.ravel()],
+            [xs, ys, phase_grid.values.ravel()],
         )
         files.append(name)
         index.append({"file": name, "gt": t, "mass": phase_grid.mass})

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SubspaceLeakError
-from .hilbert import check_operator_shape, check_operator_stack, partial_trace_qubit
+from .hilbert import check_operator_stack, partial_trace_qubit
 
 _ENTROPY_FLOOR = 1e-14
 
@@ -181,41 +181,56 @@ class PhaseGrid:
 COVERAGE_TOL = 0.98
 
 
+def _coherent_table(x, y, dim_field):
+    """<n|alpha> for every grid point alpha = x[j] + i y[i] (row-major)
+    and n < dim_field: shape (n_points**2, dim_field)."""
+    ax, ay = np.meshgrid(x, y)
+    alpha = (ax + 1j * ay).ravel()
+    v = np.empty((alpha.size, dim_field), dtype=complex)
+    v[:, 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    for n in range(1, dim_field):
+        v[:, n] = v[:, n - 1] * alpha / np.sqrt(n)
+    return v
+
+
 def husimi_q(rho, spec, grid):
     """Husimi function Q(alpha) = <alpha| rho_f |alpha> / pi of the reduced
     field state on a square grid.
 
+    rho is one state (dim, dim), which gives one PhaseGrid, or a stack
+    (..., dim, dim), which gives a list of PhaseGrids in the stack's C
+    order. The coherent-state table is built once per call and serves
+    every state of the stack; the product with each state is taken one
+    state at a time, so the values are those of one call per state.
+
     Coherent-state amplitudes are evaluated exactly on the truncated
     space (no renormalization), which keeps the integral of Q equal to
-    the trace of the truncated state. A warning is emitted when the grid
-    captures less than COVERAGE_TOL of the total mass.
+    the trace of the truncated state. A warning is emitted for each
+    state whose grid captures less than COVERAGE_TOL of its total mass.
     """
-    check_operator_shape(rho, spec)
-    rf = partial_trace_qubit(rho, spec)
-    x, y = grid.axes()
-    ax, ay = np.meshgrid(x, y)
-    alpha = (ax + 1j * ay).ravel()
-
+    rho = check_operator_stack(rho, spec)
     nf = spec.dim_field
-    v = np.empty((alpha.size, nf), dtype=complex)
-    v[:, 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
-    for n in range(1, nf):
-        v[:, n] = v[:, n - 1] * alpha / np.sqrt(n)
-
-    w = v.conj() @ rf
-    q = np.einsum("kn,kn->k", w, v).real / np.pi
-    q = np.clip(q, 0.0, 1.0 / np.pi + 1e-12)
-    values = q.reshape(grid.n_points, grid.n_points)
-
+    rfs = partial_trace_qubit(rho, spec).reshape(-1, nf, nf)
+    x, y = grid.axes()
+    v = _coherent_table(x, y, nf)
+    vc = v.conj()
     dx = x[1] - x[0]
-    mass = float(values.sum() * dx * dx)
-    if mass < COVERAGE_TOL:
-        warnings.warn(
-            f"phase-space grid captures only {mass:.4f} of the state; "
-            "increase the extent",
-            stacklevel=2,
-        )
-    return PhaseGrid(x=x, y=y, values=values, mass=mass)
+
+    grids = []
+    for rf in rfs:
+        # no name holds the product, so one state's is freed before the next
+        q = np.einsum("kn,kn->k", vc @ rf, v).real / np.pi
+        q = np.clip(q, 0.0, 1.0 / np.pi + 1e-12)
+        values = q.reshape(grid.n_points, grid.n_points)
+        mass = float(values.sum() * dx * dx)
+        if mass < COVERAGE_TOL:
+            warnings.warn(
+                f"phase-space grid captures only {mass:.4f} of the state; "
+                "increase the extent",
+                stacklevel=2,
+            )
+        grids.append(PhaseGrid(x=x, y=y, values=values, mass=mass))
+    return grids[0] if rho.ndim == 2 else grids
 
 
 OBSERVABLES = {

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 import jcdiss.lindblad
@@ -129,6 +131,69 @@ def test_series_csv_round_trip(tmp_path):
     back = read_csv(str(path))
     assert np.array_equal(back["gt"], gt)
     assert np.array_equal(back["value"], vals)
+
+
+def _write_csv_reference(path, header, columns):
+    """Every cell through '%.17g', row by row: the bytes _write_csv must
+    reproduce for any input."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = zip(*(np.asarray(col).tolist() for col in columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in cells)
+
+
+def _float_from_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# values whose text or bit pattern a distinct-value writer could confuse
+_SPECIAL_FLOATS = (
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+    _float_from_bits(0x7FF8000000000001),  # NaN with a payload
+    _float_from_bits(0xFFF0000000000001),  # negative signalling NaN
+    5e-324, -5e-324, 2.2250738585072009e-308, 1.0, 1.0 / 3.0, 1e300,
+)
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64))
+
+
+def _bits(value):
+    return int(np.array([value]).view(np.uint64)[0])
+
+
+@st.composite
+def _csv_columns(draw):
+    """1-5 columns of 1-40 rows: all distinct, with repeats, or integers."""
+    n_rows = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("distinct", "repeats", "integers")))
+        rows = dict(min_size=n_rows, max_size=n_rows)
+        if kind == "integers":
+            values = draw(st.lists(st.integers(-(2**53) + 1, 2**53 - 1), **rows))
+            columns.append(np.array(values, dtype=np.int64))
+        elif kind == "repeats":
+            pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), **rows))))
+        else:
+            columns.append(np.array(draw(st.lists(_FLOATS, unique_by=_bits, **rows))))
+    return columns
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(columns=_csv_columns())
+@example(columns=[np.array([-0.0]), np.array([np.nan]), np.array([3], dtype=np.int64)])
+@example(columns=[np.array([0.0, -0.0, 0.0, -0.0]), np.array([1.5, 2.5, 3.5, 4.5])])
+def test_write_csv_matches_formatting_every_cell(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    cli._write_csv(str(tmp_path / "csv"), header, columns)
+    _write_csv_reference(str(tmp_path / "reference"), header, columns)
+    assert (tmp_path / "csv").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
 def _tiny_config(tmp_path, out="out", **overrides):
@@ -502,6 +567,55 @@ def test_out_of_range_parameter_exits_2_and_makes_no_directory(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: params: ") and f"{param} must be nonnegative" in err
+    assert not os.path.exists(out)
+
+
+def _set_nonfinite(raw, field, value):
+    """Put value in one numeric field of a tiny scenario that has that field."""
+    raw["husimi"] = {"times": [0.0, 1.0], "extent": 4.0, "n_points": 11}
+    if field == "detunings":
+        del raw["params"]["omega"]
+        raw["detunings"] = [0.0, value]
+    elif field == "initial_state.alpha":
+        raw["initial_state"] = {"kind": "coherent", "alpha": [value, 0.0],
+                                "qubit_level": "ground"}
+    elif field == "husimi.times":
+        raw["husimi"]["times"] = [value]
+    elif "." in field:
+        block, key = field.split(".")
+        raw[block][key] = value
+    else:
+        raw[field] = value
+    return raw
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("command, field", [
+    ("rates", "params.g"), ("evolve", "params.g"), ("evolve", "params.gamma"),
+    ("steady", "params.nbar_at_omega"), ("evolve", "params.omega0"),
+    ("evolve", "params.omega"), ("evolve", "t_max"), ("evolve", "detunings"),
+    ("evolve", "initial_state.alpha"), ("husimi", "husimi.times"),
+    ("husimi", "husimi.extent"),
+])
+def test_nonfinite_number_exits_2_and_makes_no_directory(
+    tmp_path, capsys, command, field, value
+):
+    # json reads NaN, Infinity and -Infinity; none is a valid scenario number
+    path = _write_config(tmp_path, _set_nonfinite(_tiny_raw(n_points=11), field, value))
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert field in err and "finite" in err
+    assert not os.path.exists(out)
+
+
+def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    raw = _tiny_raw(n_points=11)
+    raw["params"]["gamma"] = 10**400
+    out = str(tmp_path / "out")
+    assert cli.main(["evolve", _write_config(tmp_path, raw), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: params.gamma: ")
     assert not os.path.exists(out)
 
 

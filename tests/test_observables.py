@@ -1,5 +1,7 @@
 """Scalar observables, entanglement measures, and the phase-space map."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,6 +17,7 @@ from jcdiss.hilbert import (
     fock_state,
     single_excitation_state,
 )
+from jcdiss import observables
 from jcdiss.dressed import SystemParams
 from jcdiss.lindblad import build_liouvillian
 from jcdiss.observables import (
@@ -237,6 +240,48 @@ def test_husimi_coverage_warning():
     rho = density_matrix(coherent_state(2.0, QUBIT_G, spec))
     with pytest.warns(UserWarning):
         husimi_q(rho, spec, HusimiGridSpec(extent=1.0, n_points=41))
+
+
+def _husimi_and_warnings(rho, spec, grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = husimi_q(rho, spec, grid)
+    return out, len(caught)
+
+
+def test_husimi_stack_matches_one_call_per_state_with_one_table(monkeypatch):
+    spec = SpaceSpec(20)
+    states = [
+        density_matrix(coherent_state(alpha, QUBIT_G, spec))
+        for alpha in (0.0, 1.0 - 1.5j)
+    ]
+    # a mixed state with coherences on the lowest 12 levels
+    m = np.zeros((spec.dim_total, spec.dim_total), dtype=complex)
+    parts = np.random.default_rng(3).normal(size=(2, 12, 12))
+    m[:12, :12] = parts[0] + 1j * parts[1]
+    states.append(m @ m.conj().T / np.trace(m @ m.conj().T).real)
+    # a Fock state whose ring crosses the edge of the grid
+    states.append(density_matrix(fock_state(20, QUBIT_E, spec)))
+    stack = np.array(states)
+    grid = HusimiGridSpec(extent=4.5, n_points=31)
+
+    builds = []
+    table = observables._coherent_table
+    monkeypatch.setattr(observables, "_coherent_table",
+                        lambda *args: builds.append(args) or table(*args))
+    out, warned = _husimi_and_warnings(stack, spec, grid)
+    assert len(builds) == 1 and len(out) == len(states)
+    singles = [_husimi_and_warnings(rho, spec, grid) for rho in states]
+    assert len(builds) == 1 + len(states)
+    # the coverage warning is per state: the Fock state's only
+    assert warned == sum(n for _, n in singles) == 1
+    for grid_k, (one, _) in zip(out, singles):
+        assert np.array_equal(grid_k.values, one.values)
+        assert grid_k.mass == one.mass
+        assert np.array_equal(grid_k.x, one.x) and np.array_equal(grid_k.y, one.y)
+    # a stack of stacks comes back in C order
+    nested, _ = _husimi_and_warnings(stack.reshape(2, 2, *stack.shape[1:]), spec, grid)
+    assert [g.mass for g in nested] == [g.mass for g in out]
 
 
 def test_husimi_grid_validation():

@@ -1,10 +1,12 @@
 """Mutated golden scenarios through the command line.
 
 Each mutant of a Fock or single-excitation golden deletes a field, gives
-a field a value of another type, or pushes a value out of range. Run
-through main, it either succeeds or fails fast with a documented exit
-code (2 configuration, 3 physics guard, 4 oracle mismatch) and one line
-on stderr, and a configuration error leaves no output directory.
+a field a value of another type, or pushes a value out of range; so does
+each mutant of a small snapshot block grafted onto a Fock golden and run
+by the husimi command. Run through main, it either succeeds or fails
+fast with a documented exit code (2 configuration, 3 physics guard, 4
+oracle mismatch) and one line on stderr, and a configuration error
+leaves no output directory.
 """
 
 import contextlib
@@ -104,6 +106,23 @@ def _apply(raw, mutation):
     return raw
 
 
+def _assert_runs_or_fails_fast(tmp_path, command, raw, case):
+    work = tempfile.mkdtemp(dir=tmp_path)
+    path = os.path.join(work, "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = os.path.join(work, "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, path, "--out", out])
+    assert code in (0, 2, 3, 4), (case, code)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "Traceback" not in lines[0], (case, lines)
+    if code == 2:
+        assert not os.path.exists(out), (case, err.getvalue())
+
+
 @settings(
     max_examples=40,
     derandomize=True,
@@ -117,18 +136,64 @@ def _apply(raw, mutation):
 def test_mutated_golden_runs_or_fails_fast(tmp_path, case):
     name, mutation = case
     raw = _apply(_load(name), mutation)
-    work = tempfile.mkdtemp(dir=tmp_path)
-    path = os.path.join(work, "scenario.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh)
-    out = os.path.join(work, "out")
     command = "oracle" if name == "oracle_single_excitation" else "evolve"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([command, path, "--out", out])
-    assert code in (0, 2, 3, 4), (case, code)
-    if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and "Traceback" not in lines[0], (case, lines)
-    if code == 2:
-        assert not os.path.exists(out), (case, err.getvalue())
+    _assert_runs_or_fails_fast(tmp_path, command, raw, case)
+
+
+# the snapshot block grafted onto a Fock golden for the husimi command
+_HUSIMI_BASE = "fock4_zero_temperature"
+_HUSIMI_BLOCK = {"times": [0.0, 1.0], "extent": 4.0, "n_points": 21}
+
+_NONFINITE = (float("nan"), float("inf"), float("-inf"))
+
+# each sets one field of the block out of range
+_HUSIMI_OUT_OF_RANGE = (
+    [("times", [1.0, 0.0])],
+    [("times", [-1.0, 0.0])],
+    [("times", [])],
+    [("extent", 0.0)],
+    [("extent", -4.0)],
+    [("n_points", 1)],
+    [("n_points", 21.0)],
+    [("n_points", True)],
+    [("bogus", 1)],
+    *([("times", [0.0, v])] for v in _NONFINITE),
+    *([("extent", v)] for v in _NONFINITE),
+)
+
+
+def _husimi_mutations():
+    keys = sorted(_HUSIMI_BLOCK)
+    deletions = st.sampled_from(keys).map(lambda key: ("delete", key))
+
+    def swaps_of(key):
+        others = [v for v in _OTHER_VALUES if type(v) is not type(_HUSIMI_BLOCK[key])]
+        return st.sampled_from(others).map(lambda value: ("set", [(key, value)]))
+
+    swaps = st.sampled_from(keys).flatmap(swaps_of)
+    ranges = st.sampled_from(_HUSIMI_OUT_OF_RANGE).map(lambda edits: ("set", edits))
+    return st.one_of(deletions, swaps, ranges)
+
+
+@settings(
+    max_examples=20,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutation=_husimi_mutations())
+@example(mutation=("set", [("times", [float("nan")])]))
+@example(mutation=("set", [("times", [float("inf")])]))
+@example(mutation=("set", [("times", [float("-inf")])]))
+@example(mutation=("set", [("extent", float("nan"))]))
+@example(mutation=("set", [("extent", float("inf"))]))
+@example(mutation=("set", [("extent", float("-inf"))]))
+def test_mutated_snapshot_block_runs_or_fails_fast(tmp_path, mutation):
+    block = dict(_HUSIMI_BLOCK)
+    if mutation[0] == "delete":
+        del block[mutation[1]]
+    else:
+        block.update(mutation[1])
+    raw = _load(_HUSIMI_BASE)
+    raw["husimi"] = block
+    _assert_runs_or_fails_fast(tmp_path, "husimi", raw, mutation)
