@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -57,6 +58,7 @@ from .observables import (
     quadrature_variances,
 )
 from .propagate import (
+    STACK_BYTES,
     SingleExcitationAmplitudes,
     analytic_microscopic,
     analytic_phenomenological,
@@ -601,17 +603,19 @@ class _StateAudit:
         return bool(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1)).all())
 
 
-def _observed_run(liouvillian, state, times, method, observe):
-    """Evolve one model, hand every chunk of output states to
-    observe(i0, t_chunk, rho_stack) and audit it; returns the model's
-    manifest entry."""
+def _observed_run(liouvillian, state, times, method, observe, stack_bytes=STACK_BYTES):
+    """Evolve one model in stacks of about stack_bytes, hand every chunk
+    of output states to observe(i0, t_chunk, rho_stack) and audit it;
+    returns the model's manifest entry."""
     audit = _StateAudit(liouvillian.spec)
 
     def observer(i0, tc, stack):
         observe(i0, tc, stack)
         audit.inspect(stack)
 
-    result = evolve(liouvillian, state, times, method=method, observer=observer)
+    result = evolve(
+        liouvillian, state, times, method=method, observer=observer, stack_bytes=stack_bytes
+    )
     diag = result.diagnostics
     return {
         "method": result.method,
@@ -628,7 +632,7 @@ def _observed_run(liouvillian, state, times, method, observe):
     }
 
 
-def _evolve_series(liouvillian, state, times, names, method):
+def _evolve_series(liouvillian, state, times, names, method, stack_bytes):
     """One model, one grid: the requested observables at every time."""
     spec = liouvillian.spec
     values = {name: np.empty(times.size) for name in names}
@@ -637,72 +641,113 @@ def _evolve_series(liouvillian, state, times, names, method):
         for name in names:
             values[name][i0 : i0 + tc.size] = OBSERVABLES[name](stack, spec)
 
-    return values, _observed_run(liouvillian, state, times, method, observe)
+    return values, _observed_run(liouvillian, state, times, method, observe, stack_bytes)
 
 
-def _husimi_snapshots(liouvillian, state, config, tag):
-    """Snapshot CSVs for one model; states at the requested times are
-    audited like any other output."""
-    spec = liouvillian.spec
+def _model_run(config, kind, params, spec, state, times, stack_bytes):
+    """Evolve one model of a job in stacks of about stack_bytes: its
+    series values (None without observables), its snapshot states as
+    (i0, t_chunk, stack) chunks, and its manifest entry. The Liouvillian
+    lives only as long as this call."""
+    liouvillian = build_liouvillian(kind, params, spec)
+    values = model_entry = None
+    snapshots = []
+    if config.observables:
+        values, model_entry = _evolve_series(
+            liouvillian, state, times, config.observables, config.method, stack_bytes
+        )
+    if config.husimi is not None:
+        snap_times = np.asarray([float(t) for t in config.husimi["times"]])
+        snap_entry = _observed_run(
+            liouvillian, state, snap_times, config.method,
+            lambda i0, tc, stack: snapshots.append((i0, tc, stack)),
+            stack_bytes,
+        )
+        if model_entry is None:
+            model_entry = snap_entry
+        else:
+            _merge_invariants(model_entry, snap_entry)
+    return values, snapshots, model_entry
+
+
+def _run_models(models, run):
+    """[run(kind) for kind in models]. With two models the second runs on
+    one worker thread while this thread runs the first; the worker is
+    joined before anything is raised, and an error of the first model
+    wins over one of the second, as it would in sequence."""
+    if len(models) == 1:
+        return [run(models[0])]
+    second = {}
+
+    def work():
+        try:
+            second["result"] = run(models[1])
+        except BaseException as exc:  # raised on this thread after the join
+            second["error"] = exc
+
+    worker = threading.Thread(target=work, name=f"jcdiss-{models[1]}")
+    worker.start()
+    try:
+        first = run(models[0])
+    finally:
+        worker.join()
+    if "error" in second:
+        raise second["error"]
+    return [first, second["result"]]
+
+
+def _husimi_files(config, kind, tag, spec, snapshots):
+    """Snapshot CSVs for one model's states at the requested times, and
+    their manifest index."""
     block = config.husimi
-    times = np.asarray([float(t) for t in block["times"]])
     extent = block.get("extent") or _default_extent(config.initial_state)
     grid = HusimiGridSpec(extent=float(extent), n_points=block.get("n_points", 121))
-    snapshots = []
-
-    def observe(i0, tc, stack):
-        snapshots.extend(zip(range(i0, i0 + tc.size), tc, husimi_q(stack, spec, grid)))
-
-    model_entry = _observed_run(liouvillian, state, times, config.method, observe)
-
+    xs, ys = (axis.ravel() for axis in np.meshgrid(*grid.axes()))
     files = []
     index = []
-    kind = liouvillian.kind
-    xs, ys = (axis.ravel() for axis in np.meshgrid(*grid.axes()))
-    for i, t, phase_grid in snapshots:
-        name = f"husimi_{kind}{tag}_t{i}.csv"
-        _write_csv(
-            os.path.join(config.output, name),
-            ["re_alpha", "im_alpha", "q"],
-            [xs, ys, phase_grid.values.ravel()],
-        )
-        files.append(name)
-        index.append({"file": name, "gt": t, "mass": phase_grid.mass})
-    return files, index, model_entry
+    for i0, tc, stack in snapshots:
+        maps = husimi_q(stack, spec, grid)
+        for i, t, phase_grid in zip(range(i0, i0 + tc.size), tc, maps):
+            name = f"husimi_{kind}{tag}_t{i}.csv"
+            _write_csv(
+                os.path.join(config.output, name),
+                ["re_alpha", "im_alpha", "q"],
+                [xs, ys, phase_grid.values.ravel()],
+            )
+            files.append(name)
+            index.append({"file": name, "gt": t, "mass": phase_grid.mass})
+    return files, index
 
 
 def _run_evolve_job(config, tag, params, spec):
+    """Both models of a job run side by side (_run_models); the Husimi
+    maps, their warnings and every write follow on this thread in model
+    order, microscopic first."""
     times = _output_times(config)
     psi0 = build_initial_state(config, spec)
     models = _models(config)
+    # two models side by side take a quarter of the stack budget each, so
+    # that their stacks in flight hold less than one stack of a model alone
+    stack_bytes = STACK_BYTES // 4 if len(models) == 2 else STACK_BYTES
+    runs = _run_models(
+        models,
+        lambda kind: _model_run(config, kind, params, spec, psi0, times, stack_bytes),
+    )
     files = []
     entry = _job_entry(tag, params, models={})
-
-    series = {}
-    for kind in models:
-        liouvillian = build_liouvillian(kind, params, spec)
-        if config.observables:
-            values, model_entry = _evolve_series(
-                liouvillian, psi0, times, config.observables, config.method
-            )
-            series[kind] = values
-            entry["models"][kind] = model_entry
+    for kind, (_, snapshots, model_entry) in zip(models, runs):
+        entry["models"][kind] = model_entry
         if config.husimi is not None:
-            snap_files, snap_index, snap_entry = _husimi_snapshots(
-                liouvillian, psi0, config, tag
+            snap_files, model_entry["husimi"] = _husimi_files(
+                config, kind, tag, spec, snapshots
             )
             files.extend(snap_files)
-            if kind in entry["models"]:
-                _merge_invariants(entry["models"][kind], snap_entry)
-            else:
-                entry["models"][kind] = snap_entry
-            entry["models"][kind]["husimi"] = snap_index
 
     # one column per model, microscopic first
     header = ["gt", "value", "value_phenomenological"][: 1 + len(models)]
     for name in config.observables:
         csv_name = f"{name}{tag}.csv"
-        columns = [times] + [series[kind][name] for kind in models]
+        columns = [times] + [values[name] for values, _, _ in runs]
         _write_csv(os.path.join(config.output, csv_name), header, columns)
         files.append(csv_name)
 

@@ -100,10 +100,14 @@ DRIFT_TOL = 1e-7
 STEADY_RESIDUAL_TOL = 1e-9
 DEGENERACY_RATIO = 1e-8
 
-# byte budget of one stack of states evaluated and checked together
+# default byte budget of one stack of states evaluated and checked together
 STACK_BYTES = 8 << 20
 # a uniform grid is stepped in whole groups of this many output times
 _TIME_GROUP = 8
+# OpenBLAS runs a complex matrix product on its thread pool once m*n*k
+# reaches this (measured: 90 x 90 @ 90 x 8 stays on the calling thread,
+# 100 x 100 @ 100 x 8 does not)
+_POOL_WORK = 1 << 16
 # a grid is uniform when every time is within this many ulps of t0 + i h
 _GRID_ULPS = 8
 # [13/13] Pade coefficients b_j = (26 - j)! / (j! (13 - j)!) and the largest
@@ -157,9 +161,17 @@ class _Stepper:
     On a uniform grid of step h (see _grid_step) the times come in groups
     of _TIME_GROUP: the first group is stepped column by column with
     expm(gen h), and every later one is expm(gen _TIME_GROUP h) times the
-    one before, one product of fixed width. Any other grid is stepped
-    from one output time to the next with one expm per distinct gap.
-    Either way a state is bit-identical whatever counts it is taken in.
+    one before. The group is kept as a stack of column blocks, and that
+    step is one batched product, one BLAS call per block. A generator
+    whose product with a whole group would reach _POOL_WORK takes two
+    blocks of _TIME_GROUP // 2 columns, so that its products stay off
+    OpenBLAS's thread pool, whose idle workers would spin beside the
+    other model's thread (cli); the widest sector at n_max = 29 (118 x
+    118 @ 118 x 4) stays on the calling thread. Complex products of 4
+    columns give the bits of the one product of 8 (those of 2 do not).
+    Any other grid is stepped from one output time to the next with one
+    expm per distinct gap. Either way a state is bit-identical whatever
+    counts it is taken in.
 
     exps memoises expm(gen span) by span. It belongs to the owner of gen
     (SpectralDecomposition.exps[k] for sector k, DressedSplit.exps for
@@ -179,10 +191,14 @@ class _Stepper:
             self.v = v
             return
         unit = self._exp(step)
-        self.group = np.zeros((v.size, _TIME_GROUP), self.dtype)
-        self.group[:, 0] = v
+        group = np.zeros((v.size, _TIME_GROUP), self.dtype)
+        group[:, 0] = v
         for c in range(1, min(_TIME_GROUP, times.size)):
-            self.group[:, c] = unit @ self.group[:, c - 1]
+            group[:, c] = unit @ group[:, c - 1]
+        wide = v.size * v.size * _TIME_GROUP >= _POOL_WORK
+        self.width = _TIME_GROUP // 2 if wide else _TIME_GROUP
+        # column c of the group is column c % width of block c // width
+        self.group = group.reshape(v.size, -1, self.width).transpose(1, 0, 2).copy()
         self.index = 0
         if times.size > _TIME_GROUP:
             self.jump = self._exp(_TIME_GROUP * step)
@@ -211,8 +227,9 @@ class _Stepper:
             if j > self.index:
                 self.group = self.jump @ self.group
                 self.index = j
-            n = min(_TIME_GROUP - c, stop - i)
-            parts.append(self.group[:, c : c + n])
+            b, c = divmod(c, self.width)
+            n = min(self.width - c, stop - i)
+            parts.append(self.group[b, :, c : c + n])
             i += n
         return np.concatenate(parts, axis=1)
 
@@ -221,12 +238,12 @@ class _Stepper:
 class SpectralDecomposition:
     """Sectors k = N_row - N_col >= 0 of the rotating-frame generator.
 
-    blocks holds one (indices, k, matrix) per sector: the vec indices
-    r + c*dim of its entries rho[r, c], ascending, and the dense sector
-    of _kernels.rotating_generator on them. Sector -k is the adjoint of
-    sector k, so its entries are the conjugates of their transposes and
-    are not stepped. The names SpectralDecomposition, blocks, _decomp,
-    spectral_decomposition and propagate_vec stay for
+    blocks holds one (indices, k, matrix) per sector, in ascending k from
+    0: the vec indices r + c*dim of its entries rho[r, c], ascending, and
+    the dense sector of _kernels.rotating_generator on them. Sector -k is
+    the adjoint of sector k, so its entries are the conjugates of their
+    transposes and are not stepped. The names SpectralDecomposition,
+    blocks, _decomp, spectral_decomposition and propagate_vec stay for
     jcbench/tracer.py, which times and counts these sites.
     """
 
@@ -235,21 +252,37 @@ class SpectralDecomposition:
     blocks: list
     # sector k -> _Stepper's memo of expm(matrix span) by span
     exps: dict = field(default_factory=dict, repr=False)
+    # where each entry of a state comes from in propagate_vec's source row
+    # [values of every sector | conjugates of those of k > 0], by C-order
+    # flat index; and the sector k of each value of k > 0
+    gather: np.ndarray = field(init=False, repr=False)
+    orders: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dim = self.dim
+        idx = np.concatenate([block[0] for block in self.blocks])
+        sizes = [block[0].size for block in self.blocks]
+        self.orders = np.repeat([k for _, k, _ in self.blocks[1:]], sizes[1:])
+        self.gather = np.empty(dim * dim, dtype=np.intp)
+        # vec index r + c*dim is the C-order flat index of rho[c, r]
+        self.gather[(idx % dim) * dim + idx // dim] = np.arange(idx.size)
+        self.gather[idx[sizes[0]:]] = idx.size + np.arange(self.orders.size)
 
     def propagate_vec(self, steppers, times):
         """The next len(times) states of the steppers, a stack of shape
         (len(times), dim, dim) in the lab frame: sector k takes its frame
-        phase exp(-i omega k t) at each time t."""
-        dim = self.dim
-        flat = np.empty((times.size, dim * dim), dtype=complex)
-        for (idx, k, _), stepper in zip(self.blocks, steppers):
-            values = stepper.take(times.size).T
-            if k:
-                values *= np.exp(-1j * (self.omega * k) * times)[:, None]
-                # vec index r + c*dim is the C-order flat index of rho[c, r]
-                flat[:, idx] = values.conj()
-            flat[:, (idx % dim) * dim + idx // dim] = values
-        return flat.reshape(times.size, dim, dim)
+        phase exp(-i omega k t) at each time t, and one gather places
+        every entry."""
+        n = times.size
+        upper = self.orders.size  # values of the sectors k > 0
+        total = self.gather.size - upper  # values of every sector
+        source = np.empty((n, total + upper), dtype=complex)
+        source[:, :total] = np.concatenate([s.take(n) for s in steppers]).T
+        frequencies = self.omega * np.arange(len(self.blocks))
+        values = source[:, total - upper : total]
+        values *= np.exp(np.outer(times, -1j * frequencies))[:, self.orders]
+        np.conjugate(values, out=source[:, total:])
+        return source.take(self.gather, axis=1).reshape(n, self.dim, self.dim)
 
 
 def spectral_decomposition(liouvillian):
@@ -345,12 +378,13 @@ def evolve(
     observer: Optional[Callable] = None,
     truncation_guard=True,
     chunk=None,
+    stack_bytes=STACK_BYTES,
 ):
     """Propagate a state through the generator and sample it at times.
 
     method "spectral" (_dressed_stacks, or _sector_stacks for a generator
     without a DressedSplit) or "rk4" (_rk4_stacks) makes stacks of
-    `chunk` states, by default as many as fit in STACK_BYTES. Each stack
+    `chunk` states, by default as many as fit in stack_bytes. Each stack
     passes the guards of _StackGuards (DriftError beyond DRIFT_TOL,
     TruncationError beyond TRUNCATION_TOL unless truncation_guard is
     off), then is stored, or handed to observer(i0, t_chunk, rho_stack):
@@ -362,7 +396,7 @@ def evolve(
     if chunk is None:
         # whole time groups, so that every chunk starts a group of _Stepper
         per_state = 16 * dim * dim
-        chunk = max(1, STACK_BYTES // per_state // _TIME_GROUP) * _TIME_GROUP
+        chunk = max(1, stack_bytes // per_state // _TIME_GROUP) * _TIME_GROUP
     if method == "spectral":
         stepping = {"dt": None}
         if getattr(liouvillian, "dressed", None) is not None:

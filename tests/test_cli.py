@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ import jcdiss.propagate
 from jcdiss import cli
 from jcdiss._kernels import rotating_generator
 from jcdiss.dressed import SystemParams
-from jcdiss.errors import ConfigError
+from jcdiss.errors import ConfigError, DriftError, TruncationError
 from jcdiss.lindblad import build_liouvillian, unvec, vec
 from jcdiss.propagate import (
     SingleExcitationAmplitudes,
@@ -393,11 +394,16 @@ def test_audit_hands_a_nonfinite_stack_to_eigvalsh(monkeypatch, index, value):
 
 @pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
 @pytest.mark.parametrize("nbar", [0.0, 0.1])
-def test_observed_run_minimum_matches_eigvalsh_of_every_state(monkeypatch, kind, nbar):
-    # 1601 states of dim 26 make three stacks (768 + 768 + 65), so the
-    # later ones are offered to the certificate; a certified state may
-    # sit below the recorded minimum by the Cholesky backward error
-    # (about dim*eps); the gap measured 0.0 in all four cases
+@pytest.mark.parametrize("share", [1, 4], ids=["alone", "side-by-side"])
+def test_observed_run_minimum_matches_eigvalsh_of_every_state(
+    monkeypatch, kind, nbar, share
+):
+    # 1601 states of dim 26 make several stacks (3 of at most 768 at
+    # STACK_BYTES, 9 of at most 192 at the quarter a model takes beside
+    # another), so every one after the first is offered to the
+    # certificate; a certified state may sit below the recorded minimum
+    # by the Cholesky backward error (about dim*eps); the gap measured
+    # 0.0 in all eight cases
     spec = SpaceSpec(12)
     params = SystemParams(omega0=100.0, omega=100.0, gamma=0.2, nbar_at_omega=nbar)
     liouvillian = build_liouvillian(kind, params, spec)
@@ -411,8 +417,13 @@ def test_observed_run_minimum_matches_eigvalsh_of_every_state(monkeypatch, kind,
         return verdicts[-1]
 
     monkeypatch.setattr(cli._StateAudit, "_certified", counted)
-    entry = cli._observed_run(liouvillian, psi0, times, "spectral", lambda *a: None)
-    assert verdicts == [False, True, True]
+    stacks = []
+    entry = cli._observed_run(
+        liouvillian, psi0, times, "spectral", lambda i0, tc, stack: stacks.append(i0),
+        cli.STACK_BYTES // share,
+    )
+    assert len(stacks) == (3 if share == 1 else 9)
+    assert verdicts == [False] + [True] * (len(stacks) - 1)
     states = evolve(liouvillian, psi0, times).states
     reference = np.linalg.eigvalsh(states)[:, 0].min()
     assert abs(entry["min_eigenvalue"] - reference) <= 1e-15
@@ -849,3 +860,132 @@ def test_benchmark_records_share_their_keys():
             record = json.load(fh)
         missing = {"change", "command", "machine", "method", "runs", "summary"} - set(record)
         assert not missing, (name, sorted(missing))
+
+
+# ---------------------------------------------------------------------------
+# two models side by side
+
+_SIDE_BY_SIDE_RUN = """
+import sys
+from jcdiss import cli
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    if cli.main(["evolve", config, "--out", out]) != 0:
+        sys.exit(1)
+"""
+
+
+def test_two_model_job_gives_each_model_its_single_model_bytes(tmp_path):
+    # the phenomenological model runs on a worker thread beside the
+    # microscopic one; with OpenBLAS's pool live in the child process (and
+    # sector 0 at n_max = 24, 98 wide, past the pool's threshold as one
+    # 8-column product), every column, snapshot and manifest entry is
+    # that of the model run alone, and a second run repeats every byte
+    raw = _tiny_raw(
+        model="both",
+        detunings=[0.0, 1.5],
+        initial_state={"kind": "coherent", "alpha": [0.9, 0.3], "qubit_level": "excited"},
+        n_max=24,
+        t_max=6.0,
+        n_points=49,
+        observables=["inversion", "mean_photon"],
+        husimi={"times": [0.0, 2.5], "extent": 3.0, "n_points": 9},
+    )
+    del raw["params"]["omega"]
+    runs = {}
+    argv = []
+    for name, model in (("both", "both"), ("again", "both"),
+                        ("microscopic", "microscopic"),
+                        ("phenomenological", "phenomenological")):
+        runs[name] = tmp_path / name
+        argv += [_write_config(tmp_path, {**raw, "model": model}, f"{name}.json"),
+                 str(runs[name])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    child = subprocess.run([sys.executable, "-c", _SIDE_BY_SIDE_RUN, *argv],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+
+    names = sorted(os.listdir(runs["both"]))
+    assert names == sorted(os.listdir(runs["again"]))
+    for name in names:
+        assert (runs["both"] / name).read_bytes() == (runs["again"] / name).read_bytes()
+
+    manifest = json.loads((runs["both"] / "manifest.json").read_text())
+    for column, kind in ((1, "microscopic"), (2, "phenomenological")):
+        alone = json.loads((runs[kind] / "manifest.json").read_text())
+        for job, job_alone in zip(manifest["jobs"], alone["jobs"]):
+            assert json.dumps(job["models"][kind]) == json.dumps(job_alone["models"][kind])
+        for name in alone["files"]:
+            text = (runs[kind] / name).read_text().splitlines()
+            if name.startswith("husimi_"):
+                assert (runs["both"] / name).read_text().splitlines() == text
+                continue
+            rows = (runs["both"] / name).read_text().splitlines()
+            assert [row.split(",")[column] for row in rows[1:]] == [
+                row.split(",")[1] for row in text[1:]
+            ]
+
+
+def _evolve_that_fails(monkeypatch, failures):
+    """Replace cli.evolve by one that raises failures[kind] for the models
+    named there, and runs the real evolve for the others. The
+    phenomenological failure is raised before the microscopic one, so a
+    microscopic error that wins is not a matter of timing. Returns the
+    list of (kind, thread ident) of every call."""
+    real = cli.evolve
+    phenomenological_failed = threading.Event()
+    calls = []
+
+    def evolve(liouvillian, *args, **kwargs):
+        kind = liouvillian.kind
+        calls.append((kind, threading.get_ident()))
+        if kind not in failures:
+            return real(liouvillian, *args, **kwargs)
+        if kind == "microscopic" and "phenomenological" in failures:
+            assert phenomenological_failed.wait(timeout=60)
+        try:
+            raise failures[kind]
+        finally:
+            if kind == "phenomenological":
+                phenomenological_failed.set()
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    return calls
+
+
+@pytest.mark.parametrize("failures, reported", [
+    ({"microscopic": TruncationError("raise n_max"),
+      "phenomenological": DriftError("trace drift")}, "TruncationError: raise n_max"),
+    ({"phenomenological": DriftError("trace drift")}, "DriftError: trace drift"),
+], ids=["microscopic-wins", "phenomenological-only"])
+def test_a_failed_model_of_two_is_reported_like_the_sequential_run(
+    tmp_path, capsys, monkeypatch, failures, reported
+):
+    _evolve_that_fails(monkeypatch, failures)
+    threads = threading.active_count()
+    path = _write_config(tmp_path, _tiny_raw(model="both", n_points=11))
+    code = cli.main(["evolve", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"physics guard: {reported}\n"
+    assert threading.active_count() == threads
+
+
+def test_a_single_model_job_starts_no_thread(tmp_path, monkeypatch):
+    calls = _evolve_that_fails(monkeypatch, {})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-model job started a thread")
+
+    path = _write_config(tmp_path, _tiny_raw(model="phenomenological", n_points=11))
+    monkeypatch.setattr(cli.threading, "Thread", refuse)
+    assert cli.main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [("phenomenological", threading.get_ident())]
+    monkeypatch.undo()
+
+    calls = _evolve_that_fails(monkeypatch, {})
+    path = _write_config(tmp_path, _tiny_raw(model="both", n_points=11), "both.json")
+    assert cli.main(["evolve", path, "--out", str(tmp_path / "both")]) == 0
+    threads = dict(calls)
+    assert threads["microscopic"] == threading.get_ident()
+    assert threads["phenomenological"] != threading.get_ident()

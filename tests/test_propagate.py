@@ -629,3 +629,72 @@ def test_second_evolve_on_one_generator_takes_no_expm(monkeypatch, kind, times):
     assert calls == []
     assert np.array_equal(again, first)
     assert not np.array_equal(second, first)
+
+
+def _scatter_assembly(decomp, steppers, times):
+    """propagate_vec as one fancy-index scatter per sector and side: the
+    reference its single gather must reproduce bit for bit."""
+    dim = decomp.dim
+    flat = np.empty((times.size, dim * dim), dtype=complex)
+    for (idx, k, _), stepper in zip(decomp.blocks, steppers):
+        values = stepper.take(times.size).T
+        if k:
+            values *= np.exp(-1j * (decomp.omega * k) * times)[:, None]
+            flat[:, idx] = values.conj()
+        flat[:, (idx % dim) * dim + idx // dim] = values
+    return flat.reshape(times.size, dim, dim)
+
+
+@pytest.mark.parametrize("n_max, nbar, times", [
+    (29, 0.0, np.linspace(0.0, 6.0, 83)),
+    (10, 0.3, np.linspace(0.4, 9.0, 50)),
+    (10, 0.3, np.array([0.0, 0.7, 0.7, 3.1, 8.0])),
+], ids=["widest", "thermal", "uneven"])
+def test_propagate_vec_gathers_what_the_scatters_placed(n_max, nbar, times):
+    spec = SpaceSpec(n_max)
+    liouvillian = build_liouvillian("phenomenological", _params(delta=0.5, nbar=nbar), spec)
+    decomp = spectral_decomposition(liouvillian)
+    v0 = vec(density_matrix(coherent_state(0.6 + 0.3j, QUBIT_E, spec)))
+
+    def steppers():
+        return [
+            propagate._Stepper(matrix, v0[idx], times, decomp.exps.setdefault(k, {}))
+            for idx, k, matrix in decomp.blocks
+        ]
+
+    gathered, scattered = steppers(), steppers()
+    for start in range(0, times.size, 16):
+        tc = times[start : start + 16]
+        got = decomp.propagate_vec(gathered, tc)
+        want = _scatter_assembly(decomp, scattered, tc)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_column_block_stepper_matches_one_product_on_complex_sectors():
+    # a sector whose product with a whole group would reach OpenBLAS's
+    # pool threshold is stepped in two column blocks (k <= 7 at n_max =
+    # 29, 92-118 wide), a narrower one in one; either way complex
+    # products give the bits of the one 8-column product
+    spec = SpaceSpec(29)
+    decomp = spectral_decomposition(build_liouvillian("phenomenological", _params(), spec))
+    times = np.linspace(0.0, 6.0, 83)
+    h = propagate._grid_step(times)
+    width = propagate._TIME_GROUP
+    rng = np.random.default_rng(3)
+    assert max(matrix.shape[0] for _, _, matrix in decomp.blocks) == 118
+    for idx, k, matrix in decomp.blocks:
+        v0 = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+        exps = {}
+        stepper = propagate._Stepper(matrix, v0, times, exps)
+        assert stepper.width == (4 if idx.size >= 91 else 8)
+        got = stepper.take(times.size)
+        group = np.zeros((idx.size, width), dtype=complex)
+        group[:, 0] = v0
+        for c in range(1, width):
+            group[:, c] = exps[h] @ group[:, c - 1]
+        want = [group]
+        while sum(g.shape[1] for g in want) < times.size:
+            want.append(exps[width * h] @ want[-1])
+        want = np.concatenate(want, axis=1)[:, : times.size]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
