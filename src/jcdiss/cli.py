@@ -63,6 +63,7 @@ from .propagate import (
     analytic_microscopic,
     analytic_phenomenological,
     evolve,
+    stack_states,
     steady_state,
     trace_distance,
 )
@@ -157,6 +158,13 @@ def _get_complex(obj, key, path, required=True):
     )
 
 
+# the fields each initial_state kind takes
+_INITIAL_STATE_KEYS = {
+    "fock": {"kind", "n", "qubit_level"},
+    "coherent": {"kind", "alpha", "qubit_level"},
+    "single_excitation": {"kind", "alpha", "beta"},
+}
+
 _TOP_LEVEL_KEYS = {
     "description",
     "params",
@@ -232,23 +240,29 @@ def parse_config(raw, source="<config>"):
     init = raw.get("initial_state")
     _expect(isinstance(init, dict), "initial_state", "missing or not an object")
     kind = init.get("kind")
+    _expect(
+        isinstance(kind, str) and kind in _INITIAL_STATE_KEYS,
+        "initial_state.kind",
+        f"expected one of {list(_INITIAL_STATE_KEYS)}, got {kind!r}",
+    )
+    unknown = set(init) - _INITIAL_STATE_KEYS[kind]
+    _expect(
+        not unknown,
+        "initial_state",
+        f"unknown fields {sorted(unknown)} for kind {kind!r}",
+    )
     if kind == "fock":
         n = _get_int(init, "n", "initial_state", required=True)
         _expect(n >= 0, "initial_state.n", "must be nonnegative")
     elif kind == "coherent":
         _get_complex(init, "alpha", "initial_state")
-    elif kind == "single_excitation":
+    else:
         alpha = _get_complex(init, "alpha", "initial_state")
         beta = _get_complex(init, "beta", "initial_state")
         _expect(
             abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9,
             "initial_state",
             "|alpha|^2 + |beta|^2 must be 1",
-        )
-    else:
-        raise ConfigError(
-            "initial_state.kind: expected one of "
-            f"['fock', 'coherent', 'single_excitation'], got {kind!r}"
         )
     if kind != "single_excitation":
         level = init.get("qubit_level")
@@ -332,9 +346,16 @@ def parse_config(raw, source="<config>"):
     output = raw.get("output", "out")
     _expect(isinstance(output, str) and output, "output", "expected a directory path")
     seed = _get_int(raw, "seed", source, default=0)
+    _expect(seed >= 0, "seed", "must be nonnegative")
+    description = raw.get("description", "")
+    _expect(
+        isinstance(description, str),
+        "description",
+        f"expected a string, got {description!r}",
+    )
 
     return ScenarioConfig(
-        description=str(raw.get("description", "")),
+        description=description,
         params=dict(params),
         detunings=detunings,
         model=model,
@@ -670,13 +691,28 @@ def _model_run(config, kind, params, spec, state, times, stack_bytes):
     return values, snapshots, model_entry
 
 
-def _run_models(models, run):
-    """[run(kind) for kind in models]. With two models the second runs on
-    one worker thread while this thread runs the first; the worker is
+def _side_by_side(config, spec):
+    """Whether a two-model job runs its models side by side: only when a
+    run of one model (its series or its snapshots) takes more than one
+    stack at the quarter of STACK_BYTES that a model beside another gets.
+    With fewer output times only the models' set-up would overlap, and
+    the two set-ups contend."""
+    runs = [config.n_points] if config.observables else []
+    if config.husimi is not None:
+        runs.append(len(config.husimi["times"]))
+    return (
+        len(_models(config)) == 2
+        and max(runs) > stack_states(spec.dim_total, STACK_BYTES // 4)
+    )
+
+
+def _run_models(models, run, side_by_side):
+    """[run(kind) for kind in models]. Side by side, the second model runs
+    on one worker thread while this thread runs the first; the worker is
     joined before anything is raised, and an error of the first model
     wins over one of the second, as it would in sequence."""
-    if len(models) == 1:
-        return [run(models[0])]
+    if not side_by_side:
+        return [run(kind) for kind in models]
     second = {}
 
     def work():
@@ -720,18 +756,20 @@ def _husimi_files(config, kind, tag, spec, snapshots):
 
 
 def _run_evolve_job(config, tag, params, spec):
-    """Both models of a job run side by side (_run_models); the Husimi
-    maps, their warnings and every write follow on this thread in model
-    order, microscopic first."""
+    """The models of a job run side by side or in sequence
+    (_side_by_side, _run_models); the Husimi maps, their warnings and
+    every write follow on this thread in model order, microscopic first."""
     times = _output_times(config)
     psi0 = build_initial_state(config, spec)
     models = _models(config)
+    side_by_side = _side_by_side(config, spec)
     # two models side by side take a quarter of the stack budget each, so
     # that their stacks in flight hold less than one stack of a model alone
-    stack_bytes = STACK_BYTES // 4 if len(models) == 2 else STACK_BYTES
+    stack_bytes = STACK_BYTES // 4 if side_by_side else STACK_BYTES
     runs = _run_models(
         models,
         lambda kind: _model_run(config, kind, params, spec, psi0, times, stack_bytes),
+        side_by_side,
     )
     files = []
     entry = _job_entry(tag, params, models={})

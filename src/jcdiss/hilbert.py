@@ -9,10 +9,10 @@ operators are plain numpy arrays; the helpers below validate shapes and
 physical properties instead of wrapping them in classes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DimensionError, DomainError, TruncationError
 
@@ -121,12 +121,31 @@ def fock_state(n, qubit_level, spec):
 
 
 def coherent_tail(alpha, n_max):
-    """Exact Poisson tail weight above n_max for |alpha|^2 mean photons."""
+    """Exact Poisson tail weight P(X > n_max), X ~ Poisson(|alpha|^2).
+
+    Above the mean the tail is summed outward from its first term; at or
+    below it, it is 1 minus the head, summed inward from its last term.
+    The sum starts from that term, exp(m log lam - lam - lgamma(m + 1)),
+    so it does not underflow where exp(-lam) alone does (lam > 745)."""
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
-    # P(X > n_max) for X ~ Poisson(lam), via the regularized lower gamma
-    return float(gammainc(n_max + 1, lam))
+    tail = n_max + 1 > lam
+    m = n_max + 1 if tail else n_max
+    term = math.exp(m * math.log(lam) - lam - math.lgamma(m + 1))
+    total = 0.0
+    k = m
+    # terms fall away from the mode on either side; stop once one no longer
+    # changes the sum
+    while term > total * 1e-17:
+        total += term
+        if tail:
+            k += 1
+            term *= lam / k
+        else:
+            term *= k / lam
+            k -= 1
+    return total if tail else 1.0 - total
 
 
 def default_coherent_n_max(alpha):

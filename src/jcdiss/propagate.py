@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DefectiveLiouvillianError,
@@ -370,6 +369,13 @@ class _StackGuards:
         }
 
 
+def stack_states(dim, stack_bytes):
+    """How many dim x dim states evolve puts in a stack of about
+    stack_bytes: whole time groups, so that every stack starts a group of
+    _Stepper."""
+    return max(1, stack_bytes // (16 * dim * dim) // _TIME_GROUP) * _TIME_GROUP
+
+
 def evolve(
     liouvillian,
     state,
@@ -394,9 +400,7 @@ def evolve(
     rho0 = _as_density(state, liouvillian.dim)
     dim = liouvillian.dim
     if chunk is None:
-        # whole time groups, so that every chunk starts a group of _Stepper
-        per_state = 16 * dim * dim
-        chunk = max(1, stack_bytes // per_state // _TIME_GROUP) * _TIME_GROUP
+        chunk = stack_states(dim, stack_bytes)
     if method == "spectral":
         stepping = {"dt": None}
         if getattr(liouvillian, "dressed", None) is not None:
@@ -552,7 +556,7 @@ def steady_state(liouvillian):
     gamma = getattr(liouvillian.params, "gamma", 0.0)
     split = getattr(liouvillian, "dressed", None)
     if split is not None:
-        w, vmat = sla.eig(split.rates)
+        w, vmat = np.linalg.eig(split.rates)
         coherences = split.coherence_rates()[~np.eye(dim, dtype=bool)]
         k = _kernel_index(np.abs(np.concatenate([w, coherences])), gamma)
         # a coherence kernel would be traceless, rejected below
@@ -561,9 +565,9 @@ def steady_state(liouvillian):
     else:
         decomp = spectral_decomposition(liouvillian)
         (idx, _, sector0), others = decomp.blocks[0], decomp.blocks[1:]
-        w, vmat = sla.eig(sector0)
+        w, vmat = np.linalg.eig(sector0)
         # sector -k has the conjugate eigenvalues of sector k
-        shifted = [np.abs(sla.eigvals(m) - 1j * decomp.omega * k) for _, k, m in others]
+        shifted = [np.abs(np.linalg.eigvals(m) - 1j * decomp.omega * k) for _, k, m in others]
         k = _kernel_index(np.abs(np.concatenate([w] + shifted + shifted)), gamma)
         v = np.zeros(dim * dim, dtype=complex)
         # a kernel outside sector 0 would be traceless, rejected below

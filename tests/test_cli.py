@@ -664,6 +664,52 @@ def test_unhashable_name_is_a_config_error(tmp_path, capsys, field, value):
     assert not os.path.exists(out)
 
 
+_SINGLE_EXCITATION = {"kind": "single_excitation", "alpha": 1.0, "beta": 0.0}
+
+
+@pytest.mark.parametrize("command, field, value, message", [
+    ("oracle", "seed", -1, "seed: must be nonnegative"),
+    ("evolve", "seed", -20260818, "seed: must be nonnegative"),
+    ("oracle", "seed", 1.5, "inline.json.seed: expected an integer, got 1.5"),
+    ("oracle", "description", {"x": 1}, "description: expected a string, got {'x': 1}"),
+    ("evolve", "description", 7, "description: expected a string, got 7"),
+])
+def test_seed_and_description_are_checked_before_the_run(
+    tmp_path, capsys, command, field, value, message
+):
+    # a negative seed reached np.random.default_rng in the oracle, and an
+    # object description was written through str
+    raw = _tiny_raw(n_points=11, oracle={"n_trials": 2}, **{field: value})
+    path = _write_config(tmp_path, raw, "inline.json")
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, initial_state, field", [
+    ("evolve", {"kind": "fock", "n": 1, "qubit_level": "ground", "alpha": 3.0}, "alpha"),
+    ("evolve", {"kind": "fock", "n": 1, "qubit_level": "ground", "nn": 7}, "nn"),
+    ("evolve", {"kind": "coherent", "alpha": 0.5, "qubit_level": "ground", "n": 2}, "n"),
+    ("steady", {"kind": "coherent", "alpha": 0.5, "qubit_level": "ground", "beta": 0.0},
+     "beta"),
+    ("oracle", {**_SINGLE_EXCITATION, "qubit_level": "ground"}, "qubit_level"),
+    ("oracle", {**_SINGLE_EXCITATION, "n": 0}, "n"),
+])
+def test_unknown_initial_state_field_exits_2_and_makes_no_directory(
+    tmp_path, capsys, command, initial_state, field
+):
+    raw = _tiny_raw(n_points=11, initial_state=initial_state)
+    path = _write_config(tmp_path, raw)
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out]) == 2
+    kind = initial_state["kind"]
+    assert capsys.readouterr().err == (
+        f"config error: initial_state: unknown fields ['{field}'] for kind '{kind}'\n"
+    )
+    assert not os.path.exists(out)
+
+
 def test_zero_coupling_runs_the_phenomenological_model(tmp_path):
     raw = _tiny_raw(n_points=11, model="phenomenological")
     raw["params"]["g"] = 0
@@ -863,6 +909,61 @@ def test_benchmark_records_share_their_keys():
 
 
 # ---------------------------------------------------------------------------
+# one OpenBLAS per process
+
+_COMMANDS_RUN = """
+import json, os, sys
+from jcdiss import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(1)
+maps = "/proc/self/maps"
+libraries = None
+if os.path.exists(maps):
+    with open(maps) as fh:
+        libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("scipy.")),
+                  "openblas": libraries}))
+"""
+
+
+def test_every_command_runs_without_scipy_linalg_or_special(tmp_path):
+    # the package's dense linear algebra is numpy's; scipy.linalg would map
+    # scipy's own OpenBLAS build, and its thread pool, into the process
+    coherent = _tiny_raw(
+        model="both",
+        initial_state={"kind": "coherent", "alpha": [0.4, 0.2], "qubit_level": "excited"},
+        n_points=11,
+        observables=["inversion", "mean_photon"],
+        husimi={"times": [0.0, 1.0], "extent": 3.0, "n_points": 9},
+    )
+    fock = _tiny_raw(model="both", initial_state={"kind": "fock", "n": 2, "qubit_level": "ground"})
+    fock["params"]["nbar_at_omega"] = 0.1
+    oracle = _tiny_raw(model="both", n_points=11, oracle={"n_trials": 2}, seed=5)
+    paths = {name: _write_config(tmp_path, raw, f"{name}.json")
+             for name, raw in (("coherent", coherent), ("fock", fock), ("oracle", oracle))}
+    commands = [
+        ["evolve", paths["coherent"]],
+        ["evolve", paths["coherent"], "--method", "rk4"],
+        ["husimi", paths["coherent"]],
+        ["steady", paths["fock"]],
+        ["rates", paths["fock"]],
+        ["oracle", paths["oracle"]],
+    ]
+    argv = [cmd + ["--out", str(tmp_path / f"out{i}")] for i, cmd in enumerate(commands)]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    child = subprocess.run([sys.executable, "-c", _COMMANDS_RUN, json.dumps(argv)],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert "scipy.sparse" in loaded["modules"]
+    assert "scipy.linalg" not in loaded["modules"]
+    assert "scipy.special" not in loaded["modules"]
+    if loaded["openblas"] is not None:
+        assert len(loaded["openblas"]) == 1, loaded["openblas"]
+
+
+# ---------------------------------------------------------------------------
 # two models side by side
 
 _SIDE_BY_SIDE_RUN = """
@@ -926,6 +1027,12 @@ def test_two_model_job_gives_each_model_its_single_model_bytes(tmp_path):
             ]
 
 
+# n_points of a tiny two-model job (n_max 8, dim 18) whose series takes
+# two stacks at the quarter of STACK_BYTES that a model beside another
+# gets: the fewest output times that run its models side by side
+_SIDE_BY_SIDE_POINTS = jcdiss.propagate.stack_states(18, cli.STACK_BYTES // 4) + 1
+
+
 def _evolve_that_fails(monkeypatch, failures):
     """Replace cli.evolve by one that raises failures[kind] for the models
     named there, and runs the real evolve for the others. The
@@ -963,7 +1070,7 @@ def test_a_failed_model_of_two_is_reported_like_the_sequential_run(
 ):
     _evolve_that_fails(monkeypatch, failures)
     threads = threading.active_count()
-    path = _write_config(tmp_path, _tiny_raw(model="both", n_points=11))
+    path = _write_config(tmp_path, _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS))
     code = cli.main(["evolve", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 3
@@ -984,8 +1091,46 @@ def test_a_single_model_job_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     calls = _evolve_that_fails(monkeypatch, {})
-    path = _write_config(tmp_path, _tiny_raw(model="both", n_points=11), "both.json")
+    raw = _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS)
+    path = _write_config(tmp_path, raw, "both.json")
     assert cli.main(["evolve", path, "--out", str(tmp_path / "both")]) == 0
     threads = dict(calls)
     assert threads["microscopic"] == threading.get_ident()
     assert threads["phenomenological"] != threading.get_ident()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_points": _SIDE_BY_SIDE_POINTS - 1},
+    {"n_points": 2, "observables": [], "husimi": {"times": [0.0, 1.0, 2.0, 3.0]}},
+    {"n_points": _SIDE_BY_SIDE_POINTS - 1, "husimi": {"times": [0.0, 1.0]}},
+], ids=["series", "snapshots", "series-and-snapshots"])
+def test_a_two_model_job_of_one_stack_per_run_starts_no_thread(
+    tmp_path, monkeypatch, overrides
+):
+    # a run of each model fits one stack at the quarter budget: only the
+    # models' set-up would overlap, so they run in sequence on this thread
+    calls = _evolve_that_fails(monkeypatch, {})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-model job of one stack per run started a thread")
+
+    path = _write_config(tmp_path, _tiny_raw(model="both", **overrides))
+    monkeypatch.setattr(cli.threading, "Thread", refuse)
+    assert cli.main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
+    runs = 1 + ("husimi" in overrides) - (overrides.get("observables") == [])
+    main = threading.get_ident()
+    assert calls == [("microscopic", main)] * runs + [("phenomenological", main)] * runs
+
+
+@pytest.mark.parametrize("name, side_by_side", [
+    ("coherent_revival_two_models", True),
+    ("quadrature_variances_two_models", True),
+    ("husimi_snapshots_two_models", False),
+])
+def test_golden_two_model_jobs_run_side_by_side_only_past_one_stack(name, side_by_side):
+    # coherent_series's jobs (1601 and 5620 times at n_max 29, 32 to a
+    # stack at the quarter budget) still run side by side; phase_space's
+    # 4 snapshot times do not
+    config = load_scenario(name)
+    assert config.model == "both"
+    assert cli._side_by_side(config, SpaceSpec(config.n_max)) is side_by_side
