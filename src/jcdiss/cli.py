@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._blas import one_thread
 from .dressed import SystemParams, dressed_spectrum
 from .errors import (
     ConfigError,
@@ -158,6 +159,19 @@ def _get_complex(obj, key, path, required=True):
     )
 
 
+def _get_amplitude(init, key):
+    """An initial_state amplitude whose |.|^2, which the state's norm and
+    Poisson tail take, is a finite double."""
+    value = _get_complex(init, key, "initial_state")
+    try:
+        finite = math.isfinite(abs(value) ** 2)
+    except OverflowError:
+        finite = False
+    _expect(finite, f"initial_state.{key}",
+            f"|{key}|^2 is not a finite double, got {init[key]!r}")
+    return value
+
+
 # the fields each initial_state kind takes
 _INITIAL_STATE_KEYS = {
     "fock": {"kind", "n", "qubit_level"},
@@ -255,10 +269,10 @@ def parse_config(raw, source="<config>"):
         n = _get_int(init, "n", "initial_state", required=True)
         _expect(n >= 0, "initial_state.n", "must be nonnegative")
     elif kind == "coherent":
-        _get_complex(init, "alpha", "initial_state")
+        _get_amplitude(init, "alpha")
     else:
-        alpha = _get_complex(init, "alpha", "initial_state")
-        beta = _get_complex(init, "beta", "initial_state")
+        alpha = _get_amplitude(init, "alpha")
+        beta = _get_amplitude(init, "beta")
         _expect(
             abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9,
             "initial_state",
@@ -1009,7 +1023,11 @@ def main(argv=None):
     overrides = {key: value for key, value in flags.items() if value is not None}
     try:
         config = load_config(args.config, overrides)
-        manifest = _RUNNERS[args.command](config)
+        # every BLAS call on the thread that makes it: outputs that do not
+        # depend on the thread count, and no pool spinning beside a model's
+        # worker thread
+        with one_thread():
+            manifest = _RUNNERS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -103,10 +103,6 @@ DEGENERACY_RATIO = 1e-8
 STACK_BYTES = 8 << 20
 # a uniform grid is stepped in whole groups of this many output times
 _TIME_GROUP = 8
-# OpenBLAS runs a complex matrix product on its thread pool once m*n*k
-# reaches this (measured: 90 x 90 @ 90 x 8 stays on the calling thread,
-# 100 x 100 @ 100 x 8 does not)
-_POOL_WORK = 1 << 16
 # a grid is uniform when every time is within this many ulps of t0 + i h
 _GRID_ULPS = 8
 # [13/13] Pade coefficients b_j = (26 - j)! / (j! (13 - j)!) and the largest
@@ -120,9 +116,7 @@ _THETA13 = 5.371920351148152
 
 def _expm(a):
     """exp(a) by scaling and squaring of the [13/13] Pade approximant,
-    on numpy's BLAS only: scipy.linalg.expm mixes in scipy's own OpenBLAS
-    build, whose thread pool fights numpy's on few CPUs (11 ms against
-    0.8 ms for alternating products of 118 x 118 matrices on 2 CPUs).
+    on numpy's BLAS only, so that a jcdiss process maps no scipy LAPACK.
     The tests hold this function to scipy.linalg.expm."""
     norm = np.abs(a).sum(axis=0).max()
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
@@ -160,17 +154,9 @@ class _Stepper:
     On a uniform grid of step h (see _grid_step) the times come in groups
     of _TIME_GROUP: the first group is stepped column by column with
     expm(gen h), and every later one is expm(gen _TIME_GROUP h) times the
-    one before. The group is kept as a stack of column blocks, and that
-    step is one batched product, one BLAS call per block. A generator
-    whose product with a whole group would reach _POOL_WORK takes two
-    blocks of _TIME_GROUP // 2 columns, so that its products stay off
-    OpenBLAS's thread pool, whose idle workers would spin beside the
-    other model's thread (cli); the widest sector at n_max = 29 (118 x
-    118 @ 118 x 4) stays on the calling thread. Complex products of 4
-    columns give the bits of the one product of 8 (those of 2 do not).
-    Any other grid is stepped from one output time to the next with one
-    expm per distinct gap. Either way a state is bit-identical whatever
-    counts it is taken in.
+    one before, one product of fixed width. Any other grid is stepped
+    from one output time to the next with one expm per distinct gap.
+    Either way a state is bit-identical whatever counts it is taken in.
 
     exps memoises expm(gen span) by span. It belongs to the owner of gen
     (SpectralDecomposition.exps[k] for sector k, DressedSplit.exps for
@@ -190,14 +176,10 @@ class _Stepper:
             self.v = v
             return
         unit = self._exp(step)
-        group = np.zeros((v.size, _TIME_GROUP), self.dtype)
-        group[:, 0] = v
+        self.group = np.zeros((v.size, _TIME_GROUP), self.dtype)
+        self.group[:, 0] = v
         for c in range(1, min(_TIME_GROUP, times.size)):
-            group[:, c] = unit @ group[:, c - 1]
-        wide = v.size * v.size * _TIME_GROUP >= _POOL_WORK
-        self.width = _TIME_GROUP // 2 if wide else _TIME_GROUP
-        # column c of the group is column c % width of block c // width
-        self.group = group.reshape(v.size, -1, self.width).transpose(1, 0, 2).copy()
+            self.group[:, c] = unit @ self.group[:, c - 1]
         self.index = 0
         if times.size > _TIME_GROUP:
             self.jump = self._exp(_TIME_GROUP * step)
@@ -226,9 +208,8 @@ class _Stepper:
             if j > self.index:
                 self.group = self.jump @ self.group
                 self.index = j
-            b, c = divmod(c, self.width)
-            n = min(self.width - c, stop - i)
-            parts.append(self.group[b, :, c : c + n])
+            n = min(_TIME_GROUP - c, stop - i)
+            parts.append(self.group[:, c : c + n])
             i += n
         return np.concatenate(parts, axis=1)
 

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import jcdiss.lindblad
 import jcdiss.propagate
-from jcdiss import cli
+from jcdiss import _blas, cli
 from jcdiss._kernels import rotating_generator
 from jcdiss.dressed import SystemParams
 from jcdiss.errors import ConfigError, DriftError, TruncationError
@@ -710,6 +710,31 @@ def test_unknown_initial_state_field_exits_2_and_makes_no_directory(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, initial_state, n_max, key", [
+    ("evolve", {"kind": "coherent", "alpha": 1e200, "qubit_level": "ground"}, 8, "alpha"),
+    ("evolve", {"kind": "coherent", "alpha": [0.0, 1e200], "qubit_level": "ground"},
+     None, "alpha"),
+    ("evolve", {**_SINGLE_EXCITATION, "alpha": 1e200}, 8, "alpha"),
+    ("oracle", {**_SINGLE_EXCITATION, "beta": [-1e200, 0.0]}, 8, "beta"),
+])
+def test_amplitude_whose_square_overflows_exits_2_and_makes_no_directory(
+    tmp_path, capsys, command, initial_state, n_max, key
+):
+    # |alpha|^2 raised OverflowError in the coherent state's default n_max
+    # or Poisson tail, and in the single-excitation norm check
+    raw = _tiny_raw(n_points=11, initial_state=initial_state, n_max=n_max)
+    if n_max is None:
+        del raw["n_max"]
+    path = _write_config(tmp_path, raw)
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: initial_state.{key}: |{key}|^2 is not a finite double, "
+        f"got {initial_state[key]!r}\n"
+    )
+    assert not os.path.exists(out)
+
+
 def test_zero_coupling_runs_the_phenomenological_model(tmp_path):
     raw = _tiny_raw(n_points=11, model="phenomenological")
     raw["params"]["g"] = 0
@@ -977,10 +1002,10 @@ for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
 
 def test_two_model_job_gives_each_model_its_single_model_bytes(tmp_path):
     # the phenomenological model runs on a worker thread beside the
-    # microscopic one; with OpenBLAS's pool live in the child process (and
-    # sector 0 at n_max = 24, 98 wide, past the pool's threshold as one
-    # 8-column product), every column, snapshot and manifest entry is
-    # that of the model run alone, and a second run repeats every byte
+    # microscopic one; in a child process whose OpenBLAS starts at two
+    # threads (main pins it to one for the command), every column,
+    # snapshot and manifest entry is that of the model run alone, and a
+    # second run repeats every byte
     raw = _tiny_raw(
         model="both",
         detunings=[0.0, 1.5],
@@ -1025,6 +1050,80 @@ def test_two_model_job_gives_each_model_its_single_model_bytes(tmp_path):
             assert [row.split(",")[column] for row in rows[1:]] == [
                 row.split(",")[1] for row in text[1:]
             ]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n_max = 26 sectors k <= 2 are 100 or more wide, where OpenBLAS's
+    # threaded zgesv (the Pade denominator of the sector exponentials)
+    # gives other bits than its one-thread path: without the pin the
+    # variances, a Husimi map and the manifest move. main runs every
+    # command at one thread, so a process that starts at two writes the
+    # same bytes
+    evolve = _tiny_raw(
+        model="both",
+        initial_state={"kind": "coherent", "alpha": [1.5, 0.5], "qubit_level": "excited"},
+        n_max=26,
+        t_max=6.0,
+        n_points=57,
+        observables=["inversion", "mean_photon", "q_var", "p_var"],
+        husimi={"times": [0.0, 2.5], "extent": 3.0, "n_points": 9},
+    )
+    oracle = _tiny_raw(model="both", n_max=26, n_points=11, oracle={"n_trials": 2}, seed=5)
+    paths = {name: _write_config(tmp_path, raw, f"{name}.json")
+             for name, raw in (("evolve", evolve), ("oracle", oracle))}
+    runs = {}
+    for threads in ("1", "2"):
+        runs[threads] = tmp_path / f"threads{threads}"
+        argv = [[command, paths[command], "--out", str(runs[threads] / command)]
+                for command in ("evolve", "oracle")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        child = subprocess.run([sys.executable, "-c", _COMMANDS_RUN, json.dumps(argv)],
+                               capture_output=True, text=True, env=env)
+        assert child.returncode == 0, child.stderr
+    files = sorted(p.relative_to(runs["1"]) for p in runs["1"].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(runs["2"]) for p in runs["2"].rglob("*") if p.is_file())
+    assert any(f.name == "oracle_report.json" for f in files)
+    assert any(f.name.startswith("husimi_") for f in files)
+    for name in files:
+        assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
+
+
+def test_every_model_thread_runs_blas_at_one_thread_and_main_restores_the_count(
+    tmp_path, monkeypatch
+):
+    controls = _blas.controls()
+    if not controls:
+        pytest.skip("this process maps no OpenBLAS")
+    counts = [get() for get, _ in controls]
+    seen = []
+    real = cli.evolve
+
+    def evolve(liouvillian, *args, **kwargs):
+        seen.append((liouvillian.kind, threading.get_ident(), [get() for get, _ in controls]))
+        return real(liouvillian, *args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a package error")
+
+    try:
+        for _, set_ in controls:
+            set_(2)
+        monkeypatch.setattr(cli, "evolve", evolve)
+        path = _write_config(tmp_path, _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS))
+        assert cli.main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
+        assert sorted(kind for kind, _, _ in seen) == ["microscopic", "phenomenological"]
+        assert len({thread for _, thread, _ in seen}) == 2
+        assert all(inside == [1] * len(controls) for _, _, inside in seen)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+
+        monkeypatch.setattr(cli, "evolve", fail)
+        with pytest.raises(RuntimeError):
+            cli.main(["evolve", path, "--out", str(tmp_path / "raised")])
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
 
 
 # n_points of a tiny two-model job (n_max 8, dim 18) whose series takes
