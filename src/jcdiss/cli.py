@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from ._blas import one_thread
+from ._malloc import keep_freed_memory
 from .dressed import SystemParams, dressed_spectrum
 from .errors import (
     ConfigError,
@@ -530,13 +531,52 @@ def _merge_invariants(summary, update):
 # the runner loop
 
 
+def _available_memory():
+    """MemAvailable of /proc/meminfo in bytes, or None where there is none."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _digits(n):
+    """A nonnegative int of any size: in full up to 15 digits, else its
+    three leading digits and its exponent."""
+    text = str(n)
+    return text if len(text) <= 15 else f"{text[0]}.{text[1:3]}e+{len(text) - 1}"
+
+
+def _require_one_stack_fits(spec):
+    """ConfigError unless one stack of states of the space fits in the
+    available memory; exact in Python ints, whatever the size of n_max."""
+    available = _available_memory()
+    if available is None:
+        return
+    dim = spec.dim_total
+    states = stack_states(dim, STACK_BYTES)
+    needed = states * 16 * dim * dim
+    if needed > available:
+        raise ConfigError(
+            f"n_max: one stack of {states} states at n_max {_digits(spec.n_max)} takes "
+            f"{_digits(needed)} bytes, more than the {_digits(available)} bytes "
+            "of available memory"
+        )
+
+
 def _prepare(config):
     """Resolved truncation and space of a run; creates the output
-    directory. Callers build their _jobs first, so that a parameter out
-    of range leaves no directory behind."""
+    directory once one stack of states is known to fit in memory.
+    Callers build their _jobs first, so that a parameter out of range
+    leaves no directory behind."""
     n_max = _resolve_n_max(config)
+    spec = SpaceSpec(n_max=n_max)
+    _require_one_stack_fits(spec)
     os.makedirs(config.output, exist_ok=True)
-    return n_max, SpaceSpec(n_max=n_max)
+    return n_max, spec
 
 
 def _output_times(config):
@@ -638,19 +678,17 @@ class _StateAudit:
         return bool(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1)).all())
 
 
-def _observed_run(liouvillian, state, times, method, observe, stack_bytes=STACK_BYTES):
-    """Evolve one model in stacks of about stack_bytes, hand every chunk
-    of output states to observe(i0, t_chunk, rho_stack) and audit it;
-    returns the model's manifest entry."""
+def _observed_run(liouvillian, state, times, method, observe):
+    """Evolve one model in stacks, hand every chunk of output states to
+    observe(i0, t_chunk, rho_stack) and audit it; returns the model's
+    manifest entry."""
     audit = _StateAudit(liouvillian.spec)
 
     def observer(i0, tc, stack):
         observe(i0, tc, stack)
         audit.inspect(stack)
 
-    result = evolve(
-        liouvillian, state, times, method=method, observer=observer, stack_bytes=stack_bytes
-    )
+    result = evolve(liouvillian, state, times, method=method, observer=observer)
     diag = result.diagnostics
     return {
         "method": result.method,
@@ -667,7 +705,7 @@ def _observed_run(liouvillian, state, times, method, observe, stack_bytes=STACK_
     }
 
 
-def _evolve_series(liouvillian, state, times, names, method, stack_bytes):
+def _evolve_series(liouvillian, state, times, names, method):
     """One model, one grid: the requested observables at every time."""
     spec = liouvillian.spec
     values = {name: np.empty(times.size) for name in names}
@@ -676,27 +714,25 @@ def _evolve_series(liouvillian, state, times, names, method, stack_bytes):
         for name in names:
             values[name][i0 : i0 + tc.size] = OBSERVABLES[name](stack, spec)
 
-    return values, _observed_run(liouvillian, state, times, method, observe, stack_bytes)
+    return values, _observed_run(liouvillian, state, times, method, observe)
 
 
-def _model_run(config, kind, params, spec, state, times, stack_bytes):
-    """Evolve one model of a job in stacks of about stack_bytes: its
-    series values (None without observables), its snapshot states as
-    (i0, t_chunk, stack) chunks, and its manifest entry. The Liouvillian
-    lives only as long as this call."""
+def _model_run(config, kind, params, spec, state, times):
+    """Evolve one model of a job: its series values (None without
+    observables), its snapshot states as (i0, t_chunk, stack) chunks, and
+    its manifest entry. The Liouvillian lives only as long as this call."""
     liouvillian = build_liouvillian(kind, params, spec)
     values = model_entry = None
     snapshots = []
     if config.observables:
         values, model_entry = _evolve_series(
-            liouvillian, state, times, config.observables, config.method, stack_bytes
+            liouvillian, state, times, config.observables, config.method
         )
     if config.husimi is not None:
         snap_times = np.asarray([float(t) for t in config.husimi["times"]])
         snap_entry = _observed_run(
             liouvillian, state, snap_times, config.method,
             lambda i0, tc, stack: snapshots.append((i0, tc, stack)),
-            stack_bytes,
         )
         if model_entry is None:
             model_entry = snap_entry
@@ -708,15 +744,14 @@ def _model_run(config, kind, params, spec, state, times, stack_bytes):
 def _side_by_side(config, spec):
     """Whether a two-model job runs its models side by side: only when a
     run of one model (its series or its snapshots) takes more than one
-    stack at the quarter of STACK_BYTES that a model beside another gets.
-    With fewer output times only the models' set-up would overlap, and
-    the two set-ups contend."""
+    stack. With fewer output times only the models' set-up would
+    overlap, and the two set-ups contend."""
     runs = [config.n_points] if config.observables else []
     if config.husimi is not None:
         runs.append(len(config.husimi["times"]))
     return (
         len(_models(config)) == 2
-        and max(runs) > stack_states(spec.dim_total, STACK_BYTES // 4)
+        and max(runs) > stack_states(spec.dim_total, STACK_BYTES)
     )
 
 
@@ -776,14 +811,10 @@ def _run_evolve_job(config, tag, params, spec):
     times = _output_times(config)
     psi0 = build_initial_state(config, spec)
     models = _models(config)
-    side_by_side = _side_by_side(config, spec)
-    # two models side by side take a quarter of the stack budget each, so
-    # that their stacks in flight hold less than one stack of a model alone
-    stack_bytes = STACK_BYTES // 4 if side_by_side else STACK_BYTES
     runs = _run_models(
         models,
-        lambda kind: _model_run(config, kind, params, spec, psi0, times, stack_bytes),
-        side_by_side,
+        lambda kind: _model_run(config, kind, params, spec, psi0, times),
+        _side_by_side(config, spec),
     )
     files = []
     entry = _job_entry(tag, params, models={})
@@ -1021,6 +1052,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     flags = {"output": args.out, "method": args.method, "n_max": args.nmax}
     overrides = {key: value for key, value in flags.items() if value is not None}
+    # freed stacks stay in the process for the next one to reuse, instead
+    # of going back to the kernel and faulting in again
+    keep_freed_memory()
     try:
         config = load_config(args.config, overrides)
         # every BLAS call on the thread that makes it: outputs that do not

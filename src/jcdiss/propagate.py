@@ -99,8 +99,8 @@ DRIFT_TOL = 1e-7
 STEADY_RESIDUAL_TOL = 1e-9
 DEGENERACY_RATIO = 1e-8
 
-# default byte budget of one stack of states evaluated and checked together
-STACK_BYTES = 8 << 20
+# byte budget of one stack of states evaluated and checked together
+STACK_BYTES = 2 << 20
 # a uniform grid is stepped in whole groups of this many output times
 _TIME_GROUP = 8
 # a grid is uniform when every time is within this many ulps of t0 + i h
@@ -365,13 +365,12 @@ def evolve(
     observer: Optional[Callable] = None,
     truncation_guard=True,
     chunk=None,
-    stack_bytes=STACK_BYTES,
 ):
     """Propagate a state through the generator and sample it at times.
 
     method "spectral" (_dressed_stacks, or _sector_stacks for a generator
     without a DressedSplit) or "rk4" (_rk4_stacks) makes stacks of
-    `chunk` states, by default as many as fit in stack_bytes. Each stack
+    `chunk` states, by default as many as fit in STACK_BYTES. Each stack
     passes the guards of _StackGuards (DriftError beyond DRIFT_TOL,
     TruncationError beyond TRUNCATION_TOL unless truncation_guard is
     off), then is stored, or handed to observer(i0, t_chunk, rho_stack):
@@ -381,7 +380,7 @@ def evolve(
     rho0 = _as_density(state, liouvillian.dim)
     dim = liouvillian.dim
     if chunk is None:
-        chunk = stack_states(dim, stack_bytes)
+        chunk = stack_states(dim, STACK_BYTES)
     if method == "spectral":
         stepping = {"dt": None}
         if getattr(liouvillian, "dressed", None) is not None:

@@ -1,11 +1,13 @@
 """Scenario runner: config validation, outputs, determinism, exit codes."""
 
+import ctypes
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 import threading
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import jcdiss.lindblad
 import jcdiss.propagate
-from jcdiss import _blas, cli
+from jcdiss import _blas, _malloc, cli
 from jcdiss._kernels import rotating_generator
 from jcdiss.dressed import SystemParams
 from jcdiss.errors import ConfigError, DriftError, TruncationError
@@ -394,16 +396,12 @@ def test_audit_hands_a_nonfinite_stack_to_eigvalsh(monkeypatch, index, value):
 
 @pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
 @pytest.mark.parametrize("nbar", [0.0, 0.1])
-@pytest.mark.parametrize("share", [1, 4], ids=["alone", "side-by-side"])
-def test_observed_run_minimum_matches_eigvalsh_of_every_state(
-    monkeypatch, kind, nbar, share
-):
-    # 1601 states of dim 26 make several stacks (3 of at most 768 at
-    # STACK_BYTES, 9 of at most 192 at the quarter a model takes beside
-    # another), so every one after the first is offered to the
+def test_observed_run_minimum_matches_eigvalsh_of_every_state(monkeypatch, kind, nbar):
+    # 1601 states of dim 26 make several stacks (9 of at most 192 at
+    # STACK_BYTES), so every one after the first is offered to the
     # certificate; a certified state may sit below the recorded minimum
     # by the Cholesky backward error (about dim*eps); the gap measured
-    # 0.0 in all eight cases
+    # 0.0 in all four cases
     spec = SpaceSpec(12)
     params = SystemParams(omega0=100.0, omega=100.0, gamma=0.2, nbar_at_omega=nbar)
     liouvillian = build_liouvillian(kind, params, spec)
@@ -419,10 +417,9 @@ def test_observed_run_minimum_matches_eigvalsh_of_every_state(
     monkeypatch.setattr(cli._StateAudit, "_certified", counted)
     stacks = []
     entry = cli._observed_run(
-        liouvillian, psi0, times, "spectral", lambda i0, tc, stack: stacks.append(i0),
-        cli.STACK_BYTES // share,
+        liouvillian, psi0, times, "spectral", lambda i0, tc, stack: stacks.append(i0)
     )
-    assert len(stacks) == (3 if share == 1 else 9)
+    assert len(stacks) == 9
     assert verdicts == [False] + [True] * (len(stacks) - 1)
     states = evolve(liouvillian, psi0, times).states
     reference = np.linalg.eigvalsh(states)[:, 0].min()
@@ -733,6 +730,59 @@ def test_amplitude_whose_square_overflows_exits_2_and_makes_no_directory(
         f"got {initial_state[key]!r}\n"
     )
     assert not os.path.exists(out)
+
+
+# bytes of one stack of the tiny job (n_max 8, dim 18)
+_TINY_STACK_BYTES = jcdiss.propagate.stack_states(18, cli.STACK_BYTES) * 16 * 18 * 18
+
+
+@pytest.mark.parametrize("command, initial_state, argv, n_max_text", [
+    ("evolve", {"kind": "coherent", "alpha": 1e4, "qubit_level": "ground"}, [], "100060010"),
+    ("evolve", {"kind": "coherent", "alpha": 1e150, "qubit_level": "ground"}, [],
+     "9.99e+299"),
+    ("evolve", {"kind": "coherent", "alpha": 0.5, "qubit_level": "ground"},
+     ["--nmax", "1000000000000"], "1000000000000"),
+    ("oracle", _SINGLE_EXCITATION, ["--nmax", "1000000000000"], "1000000000000"),
+], ids=["alpha-1e4", "alpha-1e150", "nmax-flag", "oracle-nmax-flag"])
+def test_run_whose_stack_exceeds_available_memory_exits_2_and_makes_no_directory(
+    tmp_path, capsys, monkeypatch, command, initial_state, argv, n_max_text
+):
+    # the coherent state's default n_max has no bound of its own; the
+    # available-memory reading is substituted, so nothing is allocated
+    monkeypatch.setattr(cli, "_available_memory", lambda: 8 << 30)
+    raw = _tiny_raw(n_points=11, initial_state=initial_state)
+    del raw["n_max"]
+    path = _write_config(tmp_path, raw)
+    out = str(tmp_path / "out")
+    assert cli.main([command, path, "--out", out, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: n_max: one stack of 8 states at n_max {n_max_text} ")
+    assert err.endswith(" bytes, more than the 8589934592 bytes of available memory\n")
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_memory_check_admits_a_run_whose_stack_just_fits(tmp_path, capsys, monkeypatch):
+    # one stack is stack_states(dim, STACK_BYTES) states of 16 dim^2 bytes
+    path = _write_config(tmp_path, _tiny_raw(n_points=11))
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(cli, "_available_memory", lambda: _TINY_STACK_BYTES - 1)
+    assert cli.main(["evolve", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: n_max: one stack of 400 states at n_max 8 takes "
+        f"{_TINY_STACK_BYTES} bytes, more than the {_TINY_STACK_BYTES - 1} bytes "
+        "of available memory\n"
+    )
+    assert not os.path.exists(out)
+    monkeypatch.setattr(cli, "_available_memory", lambda: _TINY_STACK_BYTES)
+    assert cli.main(["evolve", path, "--out", out]) == 0
+
+
+def test_memory_check_is_skipped_without_a_reading(monkeypatch):
+    if os.path.exists("/proc/meminfo"):
+        assert cli._available_memory() > 0
+    monkeypatch.setattr(cli, "_available_memory", lambda: None)
+    cli._require_one_stack_fits(SpaceSpec(10**300))
 
 
 def test_zero_coupling_runs_the_phenomenological_model(tmp_path):
@@ -1110,7 +1160,7 @@ def test_every_model_thread_runs_blas_at_one_thread_and_main_restores_the_count(
         for _, set_ in controls:
             set_(2)
         monkeypatch.setattr(cli, "evolve", evolve)
-        path = _write_config(tmp_path, _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS))
+        path = _write_config(tmp_path, _side_by_side_raw())
         assert cli.main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
         assert sorted(kind for kind, _, _ in seen) == ["microscopic", "phenomenological"]
         assert len({thread for _, thread, _ in seen}) == 2
@@ -1127,9 +1177,17 @@ def test_every_model_thread_runs_blas_at_one_thread_and_main_restores_the_count(
 
 
 # n_points of a tiny two-model job (n_max 8, dim 18) whose series takes
-# two stacks at the quarter of STACK_BYTES that a model beside another
-# gets: the fewest output times that run its models side by side
-_SIDE_BY_SIDE_POINTS = jcdiss.propagate.stack_states(18, cli.STACK_BYTES // 4) + 1
+# two stacks: the fewest output times that run its models side by side
+_SIDE_BY_SIDE_POINTS = jcdiss.propagate.stack_states(18, cli.STACK_BYTES) + 1
+
+
+def _side_by_side_raw():
+    """The tiny two-model job of _SIDE_BY_SIDE_POINTS times, checked to
+    run side by side, so that a test of the worker thread fails here and
+    not in a wait for a model that runs in sequence."""
+    raw = _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS)
+    assert cli._side_by_side(cli.parse_config(raw), SpaceSpec(raw["n_max"]))
+    return raw
 
 
 def _evolve_that_fails(monkeypatch, failures):
@@ -1169,7 +1227,7 @@ def test_a_failed_model_of_two_is_reported_like_the_sequential_run(
 ):
     _evolve_that_fails(monkeypatch, failures)
     threads = threading.active_count()
-    path = _write_config(tmp_path, _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS))
+    path = _write_config(tmp_path, _side_by_side_raw())
     code = cli.main(["evolve", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 3
@@ -1190,8 +1248,7 @@ def test_a_single_model_job_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     calls = _evolve_that_fails(monkeypatch, {})
-    raw = _tiny_raw(model="both", n_points=_SIDE_BY_SIDE_POINTS)
-    path = _write_config(tmp_path, raw, "both.json")
+    path = _write_config(tmp_path, _side_by_side_raw(), "both.json")
     assert cli.main(["evolve", path, "--out", str(tmp_path / "both")]) == 0
     threads = dict(calls)
     assert threads["microscopic"] == threading.get_ident()
@@ -1206,8 +1263,8 @@ def test_a_single_model_job_starts_no_thread(tmp_path, monkeypatch):
 def test_a_two_model_job_of_one_stack_per_run_starts_no_thread(
     tmp_path, monkeypatch, overrides
 ):
-    # a run of each model fits one stack at the quarter budget: only the
-    # models' set-up would overlap, so they run in sequence on this thread
+    # a run of each model fits one stack: only the models' set-up would
+    # overlap, so they run in sequence on this thread
     calls = _evolve_that_fails(monkeypatch, {})
 
     def refuse(*args, **kwargs):
@@ -1228,8 +1285,137 @@ def test_a_two_model_job_of_one_stack_per_run_starts_no_thread(
 ])
 def test_golden_two_model_jobs_run_side_by_side_only_past_one_stack(name, side_by_side):
     # coherent_series's jobs (1601 and 5620 times at n_max 29, 32 to a
-    # stack at the quarter budget) still run side by side; phase_space's
-    # 4 snapshot times do not
+    # stack) still run side by side; phase_space's 4 snapshot times do not
     config = load_scenario(name)
     assert config.model == "both"
     assert cli._side_by_side(config, SpaceSpec(config.n_max)) is side_by_side
+
+
+# ---------------------------------------------------------------------------
+# freed memory kept in the process
+
+
+def _fake_libc(monkeypatch, result=1, missing=False):
+    """Replace the C library by one whose mallopt records its calls and
+    returns result (or that has no mallopt); returns the list of calls."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    libc = types.SimpleNamespace() if missing else types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(_malloc, "_libc", lambda: libc)
+    return calls
+
+
+# mallopt(M_MMAP_THRESHOLD = -3, 32 MiB), then mallopt(M_TRIM_THRESHOLD = -1,
+# 64 MiB): the largest values of glibc's own dynamic thresholds
+_THRESHOLDS = [(-3, 33554432), (-1, 67108864)]
+
+
+@pytest.mark.parametrize("raised, code", [
+    (None, 0),
+    (ConfigError("params.g: refused"), 2),
+    (DriftError("trace drift"), 3),
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_main_sets_both_thresholds_before_the_runner_runs(
+    tmp_path, monkeypatch, capsys, raised, code
+):
+    calls = _fake_libc(monkeypatch)
+    seen = []
+
+    def runner(config):
+        seen.append(list(calls))
+        if raised is not None:
+            raise raised
+        return {"files": []}
+
+    monkeypatch.setitem(cli._RUNNERS, "evolve", runner)
+    path = _write_config(tmp_path, _tiny_raw(n_points=11))
+    assert cli.main(["evolve", path, "--out", str(tmp_path / "out")]) == code
+    assert seen == [_THRESHOLDS]
+    assert calls == _THRESHOLDS
+
+
+@pytest.mark.parametrize("missing, result, want", [
+    (True, 1, []),
+    (False, 0, _THRESHOLDS[:1]),
+], ids=["no-mallopt", "mallopt-refuses"])
+def test_allocator_is_left_as_it_is_without_a_mallopt_that_takes_the_threshold(
+    tmp_path, monkeypatch, missing, result, want
+):
+    # a refused mmap threshold is not followed by the trim threshold, so
+    # the process never holds one without the other
+    calls = _fake_libc(monkeypatch, result=result, missing=missing)
+    assert _malloc.keep_freed_memory() is False
+    assert calls == want
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, _tiny_raw(n_points=11))
+    assert cli.main(["evolve", path, "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    assert calls == want * 2
+
+
+_REPEAT_RUN = """
+import json, resource, sys
+from jcdiss import cli
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    if cli.main(sys.argv[1:]) != 0:
+        sys.exit(1)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_a_repeated_command_takes_no_page_faults(tmp_path):
+    # fock4_zero_temperature (n_max 14, three jobs of 801 states): glibc's
+    # dynamic thresholds hand its freed stacks back to the kernel, and the
+    # second identical run took 6-8k minor faults to take them back
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    argv = ["evolve", os.path.join(REPO_ROOT, "scenarios", "fock4_zero_temperature.json"),
+            "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    child = subprocess.run([sys.executable, "-c", _REPEAT_RUN, *argv],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    first, second = json.loads(child.stdout.splitlines()[-1])
+    assert second < 100, (first, second)
+
+
+def test_outputs_do_not_depend_on_earlier_commands_in_the_process(tmp_path):
+    # freed heap blocks and fresh page-aligned mappings place arrays at
+    # other addresses; a two-model evolve after husimi and oracle in one
+    # process writes the bytes it writes alone
+    raw = _tiny_raw(
+        model="both",
+        initial_state={"kind": "coherent", "alpha": [0.9, 0.3], "qubit_level": "excited"},
+        n_max=24,
+        t_max=6.0,
+        n_points=49,
+        observables=["inversion", "mean_photon", "q_var"],
+        husimi={"times": [0.0, 2.5], "extent": 3.0, "n_points": 9},
+    )
+    path = _write_config(tmp_path, raw)
+    evolve = ["evolve", path]
+    earlier = [
+        ["husimi", os.path.join(REPO_ROOT, "scenarios", "husimi_snapshots_two_models.json")],
+        ["oracle", os.path.join(REPO_ROOT, "scenarios", "oracle_single_excitation.json")],
+    ]
+    runs = {}
+    for name, commands in (("after", earlier + [evolve]), ("alone", [evolve])):
+        runs[name] = tmp_path / name
+        argv = [cmd + ["--out", str(runs[name] / str(i))] for i, cmd in enumerate(commands)]
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        child = subprocess.run([sys.executable, "-c", _COMMANDS_RUN, json.dumps(argv)],
+                               capture_output=True, text=True, env=env)
+        assert child.returncode == 0, child.stderr
+    after, alone = runs["after"] / "2", runs["alone"] / "0"
+    names = sorted(os.listdir(alone))
+    assert "manifest.json" in names and any(n.startswith("husimi_") for n in names)
+    assert sorted(os.listdir(after)) == names
+    for name in names:
+        assert (after / name).read_bytes() == (alone / name).read_bytes(), name
