@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -82,8 +82,9 @@ _ORACLE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: everything a run needs, plus the raw dict it
-    was parsed from (kept verbatim for hashing into the manifest)."""
+    """Validated scenario: the typed values of _SCHEMA with its defaults
+    filled in, plus the raw dict it was parsed from (kept verbatim for
+    hashing into the manifest)."""
 
     description: str
     params: dict
@@ -96,7 +97,7 @@ class ScenarioConfig:
     n_max: Optional[int]
     observables: tuple
     husimi: Optional[dict]
-    oracle: Optional[dict]
+    oracle: dict
     output: str
     seed: int
     raw: dict
@@ -104,6 +105,83 @@ class ScenarioConfig:
     def sha256(self):
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One row of the scenario schema.
+
+    kind is "number" (finite), "int", "amplitude" (a number or [re, im]
+    pair whose |.|^2 is a finite double), "string", "enum" (one of
+    choices) or "object" (the rows below path). items is None for one
+    value, or the least length of a list of values of the kind. range
+    bounds a number ("> b" or ">= b", for each item of a list) or asks a
+    string to be "nonempty". default is _REQUIRED, or the value of an
+    absent field: None leaves it absent, and an object's {} is parsed.
+    kinds names the initial_state kinds that take the field."""
+
+    path: str
+    kind: str
+    default: object = None
+    range: str = ""
+    choices: tuple = ()
+    items: Optional[int] = None
+    kinds: tuple = ()
+    key: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", self.path.rpartition(".")[2])
+
+
+_SCHEMA = {
+    row.path: row
+    for row in (
+        _Field("description", "string", ""),
+        _Field("params", "object", _REQUIRED),
+        _Field("params.omega0", "number", _REQUIRED),
+        # required without detunings, refused with them
+        _Field("params.omega", "number"),
+        _Field("params.g", "number", SystemParams.g),
+        _Field("params.gamma", "number", SystemParams.gamma),
+        _Field("params.nbar_at_omega", "number", SystemParams.nbar_at_omega),
+        _Field("detunings", "number", items=1),
+        _Field("model", "enum", "microscopic", choices=_MODELS + ("both",)),
+        _Field("initial_state", "object", _REQUIRED),
+        _Field("initial_state.kind", "enum", _REQUIRED,
+               choices=("fock", "coherent", "single_excitation")),
+        _Field("initial_state.n", "int", _REQUIRED, ">= 0", kinds=("fock",)),
+        _Field("initial_state.alpha", "amplitude", _REQUIRED,
+               kinds=("coherent", "single_excitation")),
+        _Field("initial_state.beta", "amplitude", _REQUIRED,
+               kinds=("single_excitation",)),
+        _Field("initial_state.qubit_level", "enum", _REQUIRED,
+               choices=tuple(_QUBIT_LEVELS), kinds=("fock", "coherent")),
+        _Field("t_max", "number", _REQUIRED, "> 0"),
+        _Field("n_points", "int", _REQUIRED, ">= 2"),
+        _Field("method", "enum", "spectral", choices=("spectral", "rk4")),
+        # absent: default_n_max of the initial state
+        _Field("n_max", "int", None, ">= 1"),
+        _Field("observables", "enum", (), choices=(*sorted(OBSERVABLES), "quadratures"),
+               items=0),
+        _Field("husimi", "object"),
+        _Field("husimi.times", "number", _REQUIRED, ">= 0", items=1),
+        # absent: _default_extent of the initial state
+        _Field("husimi.extent", "number", None, "> 0"),
+        _Field("husimi.n_points", "int", HusimiGridSpec.n_points, ">= 2"),
+        _Field("oracle", "object", {}),
+        _Field("oracle.n_trials", "int", 0, ">= 0"),
+        _Field("output", "string", "out", "nonempty"),
+        _Field("seed", "int", 0, ">= 0"),
+    )
+}
+
+# the rows of each object, in table order ("" is the top level)
+_ROWS = {}
+for _row in _SCHEMA.values():
+    _ROWS.setdefault(_row.path.rpartition(".")[0], []).append(_row)
 
 
 def _expect(cond, path, msg):
@@ -122,270 +200,151 @@ def _is_finite_number(value):
         return False
 
 
-def _get_number(obj, key, path, default=None, required=False):
-    if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    _expect(_is_finite_number(value), f"{path}.{key}",
-            f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _get_int(obj, key, path, default=None, required=False):
-    if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{path}.{key}",
-        f"expected an integer, got {value!r}",
-    )
-    return value
-
-
-def _get_complex(obj, key, path, required=True):
-    """Accept a real number or a [re, im] pair."""
-    if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required field")
-        return None
-    value = obj[key]
+def _amplitude(value, path):
+    """A number or [re, im] pair as a complex whose |.|^2, which the
+    state's norm and Poisson tail take, is a finite double."""
     if _is_finite_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_finite_number, value)):
-        return complex(value[0], value[1])
-    raise ConfigError(
-        f"{path}.{key}: expected a finite number or [re, im] pair, got {value!r}"
-    )
-
-
-def _get_amplitude(init, key):
-    """An initial_state amplitude whose |.|^2, which the state's norm and
-    Poisson tail take, is a finite double."""
-    value = _get_complex(init, key, "initial_state")
+        z = complex(value)
+    elif (isinstance(value, list) and len(value) == 2
+          and all(map(_is_finite_number, value))):
+        z = complex(value[0], value[1])
+    else:
+        raise ConfigError(
+            f"{path}: expected a finite number or [re, im] pair, got {value!r}"
+        )
     try:
-        finite = math.isfinite(abs(value) ** 2)
+        finite = math.isfinite(abs(z) ** 2)
     except OverflowError:
         finite = False
-    _expect(finite, f"initial_state.{key}",
-            f"|{key}|^2 is not a finite double, got {init[key]!r}")
+    if not finite:
+        key = path.rpartition(".")[2]
+        raise ConfigError(f"{path}: |{key}|^2 is not a finite double, got {value!r}")
+    return z
+
+
+_EXPECTED = {"number": "a finite number", "int": "an integer", "string": "a string"}
+_RANGE_WORDS = {"> 0": "must be positive", ">= 0": "must be nonnegative",
+                "nonempty": "must not be empty"}
+
+
+def _check_range(value, rng, path):
+    if rng == "nonempty":
+        inside = len(value) > 0
+    else:
+        op, bound = rng.split()
+        inside = value > float(bound) if op == ">" else value >= float(bound)
+    if not inside:
+        words = _RANGE_WORDS.get(rng) or f"must be at least {rng.split()[1]}"
+        raise ConfigError(f"{path}: {words}")
+
+
+def _one(row, value, path):
+    """One value of a row's kind, in its range. The messages are built
+    only on failure: this runs for every field of every scenario."""
+    kind = row.kind
+    if kind == "amplitude":
+        return _amplitude(value, path)
+    if kind == "object":
+        _expect(isinstance(value, dict), path, "expected an object")
+        return _object(value, row.path, path)
+    if kind == "number":
+        valid = _is_finite_number(value)
+    elif kind == "int":
+        valid = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        valid = isinstance(value, str) and (kind == "string" or value in row.choices)
+    if not valid:
+        expected = _EXPECTED.get(kind) or f"one of {list(row.choices)}"
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if kind == "number":
+        value = float(value)
+    if row.range:
+        _check_range(value, row.range, path)
     return value
 
 
-# the fields each initial_state kind takes
-_INITIAL_STATE_KEYS = {
-    "fock": {"kind", "n", "qubit_level"},
-    "coherent": {"kind", "alpha", "qubit_level"},
-    "single_excitation": {"kind", "alpha", "beta"},
-}
+def _field(obj, row):
+    """A row's typed value in obj, or its default."""
+    if row.key not in obj:
+        _expect(row.default is not _REQUIRED, row.path, "missing required field")
+        if row.kind == "object" and row.default is not None:
+            return _object(row.default, row.path, row.path)
+        return row.default
+    value = obj[row.key]
+    if row.items is None:
+        return _one(row, value, row.path)
+    if not (isinstance(value, list) and len(value) >= row.items):
+        raise ConfigError(
+            f"{row.path}: expected a {'non-empty ' * bool(row.items)}list, got {value!r}"
+        )
+    return tuple(_one(row, item, f"{row.path}[{i}]") for i, item in enumerate(value))
 
-_TOP_LEVEL_KEYS = {
-    "description",
-    "params",
-    "detunings",
-    "model",
-    "initial_state",
-    "t_max",
-    "n_points",
-    "method",
-    "n_max",
-    "observables",
-    "husimi",
-    "oracle",
-    "output",
-    "seed",
-}
+
+def _object(obj, prefix, where):
+    """The typed fields of the object whose rows are _ROWS[prefix]; a
+    kind field, which comes first, selects the rows of its kind."""
+    rows = _ROWS[prefix]
+    kind = _field(obj, rows[0]) if rows[0].key == "kind" else None
+    rows = [row for row in rows if not row.kinds or kind in row.kinds]
+    unknown = set(obj) - {row.key for row in rows}
+    if unknown:
+        of_kind = f" for kind {kind!r}" if kind else ""
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}{of_kind}")
+    return {row.key: _field(obj, row) for row in rows}
+
+
+def _file_tag(delta):
+    """What a detuning's output files are named by."""
+    return f"_delta{delta:g}"
 
 
 def parse_config(raw, source="<config>"):
-    """Validate a raw scenario dict; every complaint carries the offending
-    field path."""
+    """Validate a raw scenario dict against _SCHEMA; every complaint
+    carries the offending field path. The rules that span fields follow
+    the table."""
     _expect(isinstance(raw, dict), source, "top level must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    _expect(not unknown, source, f"unknown fields {sorted(unknown)}")
+    values = _object(raw, "", source)
 
-    params = raw.get("params")
-    _expect(isinstance(params, dict), "params", "missing or not an object")
-    for key in params:
+    detunings = values["detunings"]
+    if detunings is None:
+        _expect(values["params"]["omega"] is not None, "params.omega",
+                "missing required field")
+    else:
         _expect(
-            key in ("omega0", "omega", "g", "gamma", "nbar_at_omega"),
-            f"params.{key}",
-            "unknown parameter",
-        )
-    _get_number(params, "omega0", "params", required=True)
-    _get_number(params, "g", "params")
-    _get_number(params, "gamma", "params")
-    _get_number(params, "nbar_at_omega", "params")
-
-    detunings = raw.get("detunings")
-    if detunings is not None:
-        _expect(
-            isinstance(detunings, list) and len(detunings) >= 1,
-            "detunings",
-            "expected a non-empty list of numbers",
-        )
-        for i, d in enumerate(detunings):
-            _expect(
-                _is_finite_number(d),
-                f"detunings[{i}]",
-                f"expected a finite number, got {d!r}",
-            )
-        _expect(
-            len(set(float(d) for d in detunings)) == len(detunings),
-            "detunings",
-            "duplicate values",
-        )
-        _expect(
-            "omega" not in params,
+            values["params"]["omega"] is None,
             "params.omega",
             "conflicts with detunings (omega is derived as omega0 - detuning)",
         )
-        detunings = tuple(float(d) for d in detunings)
-    else:
-        _get_number(params, "omega", "params", required=True)
+        tags = {}
+        for i, delta in enumerate(detunings):
+            # equal values first: 0.0 and -0.0 have two tags
+            j = detunings.index(delta)
+            _expect(j == i, f"detunings[{i}]", f"{delta!r} equals detunings[{j}]")
+            j = tags.setdefault(_file_tag(delta), i)
+            _expect(j == i, f"detunings[{i}]",
+                    f"{delta!r} has the file tag {_file_tag(delta)!r} of detunings[{j}]")
 
-    model = raw.get("model", "microscopic")
-    _expect(
-        model in _MODELS + ("both",),
-        "model",
-        f"expected one of {_MODELS + ('both',)}, got {model!r}",
-    )
-
-    init = raw.get("initial_state")
-    _expect(isinstance(init, dict), "initial_state", "missing or not an object")
-    kind = init.get("kind")
-    _expect(
-        isinstance(kind, str) and kind in _INITIAL_STATE_KEYS,
-        "initial_state.kind",
-        f"expected one of {list(_INITIAL_STATE_KEYS)}, got {kind!r}",
-    )
-    unknown = set(init) - _INITIAL_STATE_KEYS[kind]
-    _expect(
-        not unknown,
-        "initial_state",
-        f"unknown fields {sorted(unknown)} for kind {kind!r}",
-    )
-    if kind == "fock":
-        n = _get_int(init, "n", "initial_state", required=True)
-        _expect(n >= 0, "initial_state.n", "must be nonnegative")
-    elif kind == "coherent":
-        _get_amplitude(init, "alpha")
-    else:
-        alpha = _get_amplitude(init, "alpha")
-        beta = _get_amplitude(init, "beta")
+    init = values["initial_state"]
+    if init["kind"] == "single_excitation":
         _expect(
-            abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9,
+            abs(abs(init["alpha"]) ** 2 + abs(init["beta"]) ** 2 - 1.0) <= 1e-9,
             "initial_state",
             "|alpha|^2 + |beta|^2 must be 1",
         )
-    if kind != "single_excitation":
-        level = init.get("qubit_level")
-        _expect(
-            isinstance(level, str) and level in _QUBIT_LEVELS,
-            "initial_state.qubit_level",
-            f"expected one of {sorted(_QUBIT_LEVELS)}",
-        )
 
-    t_max = _get_number(raw, "t_max", source, required=True)
-    _expect(t_max > 0, "t_max", "must be positive")
-    n_points = _get_int(raw, "n_points", source, required=True)
-    _expect(n_points >= 2, "n_points", "must be at least 2")
-
-    method = raw.get("method", "spectral")
-    _expect(
-        method in ("spectral", "rk4"),
-        "method",
-        f"expected 'spectral' or 'rk4', got {method!r}",
-    )
-    n_max = _get_int(raw, "n_max", source)
-    if n_max is not None:
-        _expect(n_max >= 1, "n_max", "must be at least 1")
-
-    names = raw.get("observables", [])
-    _expect(isinstance(names, list), "observables", "expected a list of names")
-    observables = []
-    for i, name in enumerate(names):
-        if name == "quadratures":
-            for sub in _QUADRATURE_GROUP:
-                if sub not in observables:
-                    observables.append(sub)
-            continue
-        _expect(
-            isinstance(name, str) and name in OBSERVABLES,
-            f"observables[{i}]",
-            f"unknown observable {name!r}; known: "
-            f"{sorted(OBSERVABLES) + ['quadratures']}",
-        )
-        if name not in observables:
-            observables.append(name)
-
-    husimi = raw.get("husimi")
+    husimi = values["husimi"]
     if husimi is not None:
-        _expect(isinstance(husimi, dict), "husimi", "expected an object")
-        unknown = set(husimi) - {"times", "extent", "n_points"}
-        _expect(not unknown, "husimi", f"unknown fields {sorted(unknown)}")
-        times = husimi.get("times")
-        _expect(
-            isinstance(times, list) and len(times) >= 1,
-            "husimi.times",
-            "expected a non-empty list of times",
-        )
-        for i, t in enumerate(times):
-            _expect(
-                _is_finite_number(t) and t >= 0,
-                f"husimi.times[{i}]",
-                f"expected a finite nonnegative number, got {t!r}",
-            )
-        _expect(
-            list(times) == sorted(times),
-            "husimi.times",
-            "must be nondecreasing",
-        )
-        extent = _get_number(husimi, "extent", "husimi")
-        if extent is not None:
-            _expect(extent > 0, "husimi.extent", "must be positive")
-        grid_n = _get_int(husimi, "n_points", "husimi")
-        if grid_n is not None:
-            _expect(grid_n >= 2, "husimi.n_points", "must be at least 2")
+        times = husimi["times"]
+        _expect(list(times) == sorted(times), "husimi.times", "must be nondecreasing")
 
-    oracle = raw.get("oracle")
-    if oracle is not None:
-        _expect(isinstance(oracle, dict), "oracle", "expected an object")
-        unknown = set(oracle) - {"n_trials"}
-        _expect(not unknown, "oracle", f"unknown fields {sorted(unknown)}")
-        n_trials = _get_int(oracle, "n_trials", "oracle")
-        if n_trials is not None:
-            _expect(n_trials >= 0, "oracle.n_trials", "must be nonnegative")
+    observables = []
+    for name in values["observables"]:
+        for sub in _QUADRATURE_GROUP if name == "quadratures" else (name,):
+            if sub not in observables:
+                observables.append(sub)
+    values["observables"] = tuple(observables)
 
-    output = raw.get("output", "out")
-    _expect(isinstance(output, str) and output, "output", "expected a directory path")
-    seed = _get_int(raw, "seed", source, default=0)
-    _expect(seed >= 0, "seed", "must be nonnegative")
-    description = raw.get("description", "")
-    _expect(
-        isinstance(description, str),
-        "description",
-        f"expected a string, got {description!r}",
-    )
-
-    return ScenarioConfig(
-        description=description,
-        params=dict(params),
-        detunings=detunings,
-        model=model,
-        initial_state=dict(init),
-        t_max=t_max,
-        n_points=n_points,
-        method=method,
-        n_max=n_max,
-        observables=tuple(observables),
-        husimi=dict(husimi) if husimi is not None else None,
-        oracle=dict(oracle) if oracle is not None else None,
-        output=output,
-        seed=seed,
-        raw=raw,
-    )
+    return ScenarioConfig(**values, raw=raw)
 
 
 def load_config(path, overrides=None):
@@ -397,7 +356,9 @@ def load_config(path, overrides=None):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+    # of more digits than int() converts; RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     source = os.path.basename(path)
     config = parse_config(raw, source=source)
@@ -411,14 +372,11 @@ def load_config(path, overrides=None):
 
 
 def _system_params(config, delta):
-    fields = dict(config.params)
-    omega0 = fields.pop("omega0")
+    values = dict(config.params)
     if config.detunings is not None:
-        omega = omega0 - delta
-    else:
-        omega = fields.pop("omega")
+        values["omega"] = values["omega0"] - delta
     try:
-        return SystemParams(omega0=omega0, omega=omega, **fields)
+        return SystemParams(**values)
     except ParameterError as exc:
         raise ConfigError(f"params: {exc}") from exc
 
@@ -427,12 +385,8 @@ def _jobs(config):
     """One job per detuning (models run inside the job so merged columns
     share one grid). Tags name the output files."""
     if config.detunings is None:
-        params = _system_params(config, None)
-        return [("", params)]
-    jobs = []
-    for delta in config.detunings:
-        jobs.append((f"_delta{delta:g}", _system_params(config, delta)))
-    return jobs
+        return [("", _system_params(config, None))]
+    return [(_file_tag(d), _system_params(config, d)) for d in config.detunings]
 
 
 def _require_coupling(config, command):
@@ -440,7 +394,7 @@ def _require_coupling(config, command):
     command that needs the dressed spectrum (rates, or any with the
     microscopic model) rejects it before its output directory exists."""
     dressed = command == "rates" or "microscopic" in _models(config)
-    if dressed and config.params.get("g") == 0:
+    if dressed and config.params["g"] == 0:
         raise ConfigError("params.g: the dressed spectrum requires g > 0")
 
 
@@ -453,10 +407,9 @@ def _models(config):
 def default_n_max(initial_state):
     kind = initial_state["kind"]
     if kind == "coherent":
-        alpha = complex(_get_complex(initial_state, "alpha", "initial_state"))
-        return default_coherent_n_max(alpha)
+        return default_coherent_n_max(initial_state["alpha"])
     if kind == "fock":
-        return int(initial_state["n"]) + 10
+        return initial_state["n"] + 10
     return 8
 
 
@@ -472,18 +425,14 @@ def build_initial_state(config, spec):
     if kind == "fock":
         return fock_state(init["n"], _QUBIT_LEVELS[init["qubit_level"]], spec)
     if kind == "coherent":
-        alpha = _get_complex(init, "alpha", "initial_state")
-        return coherent_state(alpha, _QUBIT_LEVELS[init["qubit_level"]], spec)
-    alpha = _get_complex(init, "alpha", "initial_state")
-    beta = _get_complex(init, "beta", "initial_state")
-    return single_excitation_state(alpha, beta, spec)
+        return coherent_state(init["alpha"], _QUBIT_LEVELS[init["qubit_level"]], spec)
+    return single_excitation_state(init["alpha"], init["beta"], spec)
 
 
 def _default_extent(initial_state):
     kind = initial_state["kind"]
     if kind == "coherent":
-        alpha = _get_complex(initial_state, "alpha", "initial_state")
-        return abs(alpha) + 4.0
+        return abs(initial_state["alpha"]) + 4.0
     if kind == "fock":
         return float(np.sqrt(initial_state["n"])) + 4.0
     return 5.0
@@ -550,31 +499,59 @@ def _digits(n):
     return text if len(text) <= 15 else f"{text[0]}.{text[1:3]}e+{len(text) - 1}"
 
 
-def _require_one_stack_fits(spec):
-    """ConfigError unless one stack of states of the space fits in the
-    available memory; exact in Python ints, whatever the size of n_max."""
+def _allocations(config, command, spec):
+    """(field, what, bytes) for the largest arrays of the command, from
+    sizes the scenario fixes: one stack of states for every command, the
+    oracle's stored and closed-form states, and a series run's snapshot
+    states, Husimi grid, coherent-state table and stored series. Exact in
+    Python ints, whatever the size of n_max."""
+    state = 16 * spec.dim_total**2
+    stack = stack_states(spec.dim_total, STACK_BYTES)
+    at = f"at n_max {_digits(spec.n_max)}"
+    points = _digits(config.n_points)
+    yield "n_max", f"one stack of {stack} states {at}", stack * state
+    if command == "oracle":
+        yield ("n_points",
+               f"the store of {points} numeric and as many closed-form states {at}",
+               2 * config.n_points * state)
+    if command not in ("evolve", "husimi"):
+        return
+    models = len(_models(config))
+    if config.husimi is not None:
+        snaps = len(config.husimi["times"]) * models
+        side = config.husimi["n_points"]
+        grid = f"{_digits(side)} x {_digits(side)} grid"
+        yield "husimi.times", f"the store of {snaps} snapshot states {at}", snaps * state
+        yield "husimi.n_points", f"the {grid} of phase space", 16 * side**2
+        yield ("husimi.n_points", f"the coherent-state table of the {grid} {at}",
+               16 * side**2 * spec.dim_field)
+    series = len(config.observables) * models
+    yield ("n_points", f"the store of {series} series of {points} times",
+           8 * series * config.n_points)
+
+
+def _require_run_fits(config, command, spec):
+    """ConfigError unless each of the command's _allocations fits in the
+    available memory."""
     available = _available_memory()
     if available is None:
         return
-    dim = spec.dim_total
-    states = stack_states(dim, STACK_BYTES)
-    needed = states * 16 * dim * dim
-    if needed > available:
-        raise ConfigError(
-            f"n_max: one stack of {states} states at n_max {_digits(spec.n_max)} takes "
-            f"{_digits(needed)} bytes, more than the {_digits(available)} bytes "
-            "of available memory"
-        )
+    for field, what, needed in _allocations(config, command, spec):
+        if needed > available:
+            raise ConfigError(
+                f"{field}: {what} takes {_digits(needed)} bytes, more than the "
+                f"{_digits(available)} bytes of available memory"
+            )
 
 
-def _prepare(config):
+def _prepare(config, command):
     """Resolved truncation and space of a run; creates the output
-    directory once one stack of states is known to fit in memory.
+    directory once the run's largest arrays are known to fit in memory.
     Callers build their _jobs first, so that a parameter out of range
     leaves no directory behind."""
     n_max = _resolve_n_max(config)
     spec = SpaceSpec(n_max=n_max)
-    _require_one_stack_fits(spec)
+    _require_run_fits(config, command, spec)
     os.makedirs(config.output, exist_ok=True)
     return n_max, spec
 
@@ -609,7 +586,7 @@ def _run_jobs(config, command, job):
     command's manifest."""
     jobs = _jobs(config)
     _require_coupling(config, command)
-    n_max, spec = _prepare(config)
+    n_max, spec = _prepare(config, command)
     results = [job(config, tag, params, spec) for tag, params in jobs]
     manifest = _base_manifest(config, n_max, command)
     manifest["jobs"] = [entry for _, entry in results]
@@ -729,7 +706,7 @@ def _model_run(config, kind, params, spec, state, times):
             liouvillian, state, times, config.observables, config.method
         )
     if config.husimi is not None:
-        snap_times = np.asarray([float(t) for t in config.husimi["times"]])
+        snap_times = np.asarray(config.husimi["times"])
         snap_entry = _observed_run(
             liouvillian, state, snap_times, config.method,
             lambda i0, tc, stack: snapshots.append((i0, tc, stack)),
@@ -785,8 +762,8 @@ def _husimi_files(config, kind, tag, spec, snapshots):
     """Snapshot CSVs for one model's states at the requested times, and
     their manifest index."""
     block = config.husimi
-    extent = block.get("extent") or _default_extent(config.initial_state)
-    grid = HusimiGridSpec(extent=float(extent), n_points=block.get("n_points", 121))
+    extent = block["extent"] or _default_extent(config.initial_state)
+    grid = HusimiGridSpec(extent=extent, n_points=block["n_points"])
     xs, ys = (axis.ravel() for axis in np.meshgrid(*grid.axes()))
     files = []
     index = []
@@ -903,17 +880,9 @@ def run_steady(config):
 
 def _oracle_trials(config):
     init = config.initial_state
-    trials = [
-        SingleExcitationAmplitudes(
-            _get_complex(init, "alpha", "initial_state"),
-            _get_complex(init, "beta", "initial_state"),
-        )
-    ]
-    n_extra = 0
-    if config.oracle is not None:
-        n_extra = config.oracle.get("n_trials") or 0
+    trials = [SingleExcitationAmplitudes(init["alpha"], init["beta"])]
     rng = np.random.default_rng(config.seed)
-    for _ in range(n_extra):
+    for _ in range(config.oracle["n_trials"]):
         v = rng.normal(size=4)
         v = v / np.linalg.norm(v)
         trials.append(
@@ -939,11 +908,11 @@ def compare_analytic(config):
     # the ranges first, so that a negative nbar_at_omega is reported as such
     jobs = _jobs(config)
     _require_coupling(config, "oracle")
-    if config.params.get("nbar_at_omega"):
+    if config.params["nbar_at_omega"]:
         raise ConfigError(
             "params.nbar_at_omega: the closed forms hold at zero temperature only"
         )
-    n_max, spec = _prepare(config)
+    n_max, spec = _prepare(config, "oracle")
     times = _output_times(config)
     out = config.output
     trials = _oracle_trials(config)
@@ -1033,7 +1002,7 @@ def _build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="scenario JSON file")
         cmd.add_argument("--out", help="output directory (overrides the scenario)")
-        cmd.add_argument("--method", choices=("spectral", "rk4"),
+        cmd.add_argument("--method", choices=_SCHEMA["method"].choices,
                          help="propagation method override")
         cmd.add_argument("--nmax", type=int, help="truncation override")
     return parser

@@ -71,7 +71,8 @@ def _write_config(tmp_path, raw, name="scenario.json"):
         (lambda r: r.__setitem__("model", "hybrid"), "model"),
         (lambda r: r.__setitem__("observables", ["entropy_of_motion"]),
          "observables"),
-        (lambda r: r.__setitem__("detunings", [0.0, 0.0]), "detunings"),
+        (lambda r: (r.__setitem__("detunings", [0.0, 0.0]), r["params"].pop("omega")),
+         "detunings"),
         (lambda r: r.__setitem__("initial_state", {"alpha": 1.0}), "initial_state"),
         (lambda r: r.__setitem__("method", "euler"), "method"),
         (lambda r: r.__setitem__("frobnicate", 1), "frobnicate"),
@@ -94,6 +95,24 @@ def test_detunings_conflict_with_explicit_cavity_frequency():
     with pytest.raises(ConfigError) as err:
         cli.parse_config(raw, source="inline")
     assert "detunings" in str(err.value) or "omega" in str(err.value)
+
+
+@pytest.mark.parametrize("detunings, message", [
+    ([1.0, 1.0000001], "detunings[1]: 1.0000001 has the file tag '_delta1' of detunings[0]"),
+    ([2.0, 0.0, -0.0], "detunings[2]: -0.0 equals detunings[1]"),
+], ids=["one-tag", "signed-zero"])
+def test_detunings_whose_file_tags_collide_exit_2_and_make_no_directory(
+    tmp_path, capsys, detunings, message
+):
+    # 1.0 and 1.0000001 both wrote ground_population_delta1.csv, the second
+    # over the first, and the manifest listed that file twice; 0.0 and -0.0
+    # are one detuning under two tags
+    raw = _tiny_raw(n_points=11, detunings=detunings)
+    del raw["params"]["omega"]
+    out = str(tmp_path / "out")
+    assert cli.main(["evolve", _write_config(tmp_path, raw), "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_detunings_fan_out_sets_cavity_frequency():
@@ -550,6 +569,29 @@ def test_main_rejects_missing_file(tmp_path, capsys):
     assert cli.main(["evolve", missing, "--out", str(tmp_path / "out")]) == 2
 
 
+_TINY_TEXT = json.dumps(_tiny_raw(n_points=11))
+
+
+@pytest.mark.parametrize("content, reason", [
+    (_TINY_TEXT.replace('"tiny', '"\xff tiny').encode("latin-1"), "'utf-8' codec"),
+    (_TINY_TEXT.replace('"n_max": 8', '"n_max": ' + "9" * 5000).encode(), "4300 digits"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+], ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_malformed_scenario_file_exits_2_and_makes_no_directory(
+    tmp_path, capsys, content, reason
+):
+    # each raised past load_config (UnicodeDecodeError, ValueError,
+    # RecursionError) and left the command with exit 1 and a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = str(tmp_path / "out")
+    assert cli.main(["evolve", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: invalid JSON (") and reason in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_main_validates_flags_like_the_file(tmp_path, capsys):
     path = _write_config(tmp_path, _tiny_raw(n_points=11))
     out = str(tmp_path / "out")
@@ -667,7 +709,7 @@ _SINGLE_EXCITATION = {"kind": "single_excitation", "alpha": 1.0, "beta": 0.0}
 @pytest.mark.parametrize("command, field, value, message", [
     ("oracle", "seed", -1, "seed: must be nonnegative"),
     ("evolve", "seed", -20260818, "seed: must be nonnegative"),
-    ("oracle", "seed", 1.5, "inline.json.seed: expected an integer, got 1.5"),
+    ("oracle", "seed", 1.5, "seed: expected an integer, got 1.5"),
     ("oracle", "description", {"x": 1}, "description: expected a string, got {'x': 1}"),
     ("evolve", "description", 7, "description: expected a string, got 7"),
 ])
@@ -778,11 +820,43 @@ def test_memory_check_admits_a_run_whose_stack_just_fits(tmp_path, capsys, monke
     assert cli.main(["evolve", path, "--out", out]) == 0
 
 
+@pytest.mark.parametrize("command, overrides, available, message", [
+    ("oracle", {"n_points": 2_000_000}, 8 << 30,
+     "n_points: the store of 2000000 numeric and as many closed-form states at n_max 8 "
+     "takes 20736000000 bytes"),
+    ("husimi", {"husimi": {"times": [0.0], "n_points": 200_000}}, 8 << 30,
+     "husimi.n_points: the 200000 x 200000 grid of phase space takes 640000000000 bytes"),
+    ("husimi", {"husimi": {"times": [0.0], "n_points": 10_000}}, 8 << 30,
+     "husimi.n_points: the coherent-state table of the 10000 x 10000 grid at n_max 8 "
+     "takes 14400000000 bytes"),
+    ("husimi", {"husimi": {"times": [0.0] * 401}}, _TINY_STACK_BYTES,
+     f"husimi.times: the store of 401 snapshot states at n_max 8 takes {401 * 16 * 18 * 18} "
+     "bytes"),
+    ("evolve", {"n_points": 600_000_000}, 8 << 30,
+     "n_points: the store of 2 series of 600000000 times takes 9600000000 bytes"),
+], ids=["oracle-states", "husimi-grid", "husimi-table", "snapshots", "series"])
+def test_run_whose_largest_array_exceeds_available_memory_exits_2(
+    tmp_path, capsys, monkeypatch, command, overrides, available, message
+):
+    # the reading is substituted; a run that got past the check would stop
+    # at its output directory, before it allocates anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run got past the memory check")
+
+    monkeypatch.setattr(cli, "_available_memory", lambda: available)
+    monkeypatch.setattr(cli.os, "makedirs", refuse)
+    path = _write_config(tmp_path, _tiny_raw(**{"n_points": 11, **overrides}))
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {message}, more than the {available} bytes of available memory\n"
+    )
+
+
 def test_memory_check_is_skipped_without_a_reading(monkeypatch):
     if os.path.exists("/proc/meminfo"):
         assert cli._available_memory() > 0
     monkeypatch.setattr(cli, "_available_memory", lambda: None)
-    cli._require_one_stack_fits(SpaceSpec(10**300))
+    cli._require_run_fits(cli.parse_config(_tiny_raw()), "evolve", SpaceSpec(10**300))
 
 
 def test_zero_coupling_runs_the_phenomenological_model(tmp_path):

@@ -11,8 +11,6 @@ which observables they export), so results are cached by the physical
 key and each scenario still gets its own assertion.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,7 @@ def _worst_gaps(kind, params, n_max, config):
         params,
         n_max,
         config.t_max,
-        json.dumps(config.initial_state, sort_keys=True),
+        tuple(sorted(config.initial_state.items())),
     )
     if key in _CACHE:
         return _CACHE[key]
