@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration of a Lindblad generator.
+"""Fixed-step RK4 integration of a Lindblad generator, on its sectors.
 
 Integration runs in the frame rotating at the cavity frequency
 (generated by omega * N with N the total excitation operator). Every
@@ -10,55 +10,129 @@ tight step-size targets affordable at large photon number.
 
 On the column-stacked vec(rho) the frame change only adds the diagonal
 i omega (N_r - N_c) to the superoperator, with N_r and N_c the
-excitation numbers of the row and column index of each entry. RK4 steps
-this sparse superoperator, and the spectral route of the
-phenomenological generator steps its sectors of fixed N_r - N_c
-(propagate.spectral_decomposition).
+excitation numbers of the row and column index of each entry, and the
+generator conserves k = N_r - N_c. RK4 steps the dense sectors k >= 0
+of propagate.spectral_decomposition, the blocks that the spectral route
+of the phenomenological generator exponentiates. Sector -k holds the
+conjugates of the transposed entries of sector k, so it is not stepped:
+the state must be Hermitian, as every state the routes hand on is.
 
-With G this linear superoperator, one RK4 step of size h is exactly the
-step matrix P(h) = I + hG (I + hG/2 (I + hG/3 (I + hG/4))), the degree-4
-Taylor polynomial of exp(hG) that the four stages compute, and n steps
-are exactly P(h)^n. rk4_advance keeps one _Gap per distinct (h, n) on
-the generator. Its first call builds P as one sparse matrix and steps,
-one sparse matvec per step. Its second call builds P(h)^n by binary
-powering, so a gap that recurs, as the few gaps of a uniform output
-grid do hundreds of times, is one sparse matvec per call from then on,
-and a gap met once builds nothing.
+With G one sector, one RK4 step of size h is exactly the step matrix
+P(h) = I + hG (I + hG/2 (I + hG/3 (I + hG/4))), the degree-4 Taylor
+polynomial of exp(hG) that the four stages compute, and n steps are
+exactly P(h)^n. rk4_advance keeps one _Gap per distinct (h, n) on the
+generator. It builds P(h), and P(h)^n by binary powering, one dense
+matrix per sector, and keeps and applies them paired into one stack of
+equal square blocks (_Packing), so that a step is one batched product,
+not one small product per sector: at n_max = 8, ten products a step
+took longer than the sparse step matrix they replace, on their calls
+alone. Sector k of 1 .. n_max has 4 (n_max + 1 - k) rows, so the
+largest sector left and the smallest fill about 4 n_max + 4 rows
+together, and the pairs hold about 1.5 times the entries of the
+sectors.
+
+A gap steps with P, or applies P(h)^n as one product. A dense power is
+the same size as its step, so only the cost decides when to build it,
+from n and the sector sizes: a gap whose steps cost more than its power
+builds the power on its first call, and any other gap on its second,
+so a short gap met once builds nothing.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError
-
-
-def sector_labels(spec):
-    """Excitation difference N_r - N_c of each entry of vec(rho)."""
-    exc = spec.excitations()
-    # entry r + c * dim of vec(rho) is rho[r, c]
-    return (exc[:, None] - exc[None, :]).reshape(-1, order="F")
-
-
-def rotating_generator(liouvillian):
-    """CSR superoperator of the generator in the rotating frame."""
-    shift = sector_labels(liouvillian.spec)
-    omega = liouvillian.params.omega
-    return sp.csr_matrix(liouvillian.matrix + sp.diags(1j * omega * shift))
-
 
 # most gaps cached per generator: a linspace grid needs 10-13, a grid
 # whose every gap differs (logspace) would keep one per time
 _MAX_GAPS = 64
 
 
+def packed_entries(n_max):
+    """Entries of the stack of _Packing at n_max, exact in Python ints
+    whatever the size of n_max: sector 0 has 4 n_max + 2 rows, sector k
+    of 1 .. n_max has 4 (n_max + 1 - k) and sector n_max + 1 one, so the
+    pairs make ceil((n_max + 2) / 2) blocks of side 4 n_max + 4 (7 at
+    n_max = 1, where sectors 0 and 2 make the largest pair)."""
+    side = 4 * n_max + 4 if n_max > 1 else 7
+    return -(-(n_max + 2) // 2) * side * side
+
+
+class _Packing:
+    """The sectors k >= 0 of a generator paired into one stack of equal
+    square blocks: the largest sector left with the smallest, the two
+    on the diagonal of their block, zeros around them and in the
+    padding.
+
+    sizes and spans hold the rows and the (block, start, stop) of each
+    sector, in the generator's order. slots holds, for each row of the
+    stack, the C-order flat index of the entry of rho it carries, or
+    dim^2 in the padding; place holds, for each entry of rho, the row of
+    the stack that gives it, and lower marks the entries of the sectors
+    k < 0, which take the conjugate of their mirror's row."""
+
+    def __init__(self, generator):
+        dim = generator.dim
+        self.sizes = sizes = [idx.size for idx, _, _ in generator.blocks]
+        order = np.argsort(sizes, kind="stable")
+        pairs = [order[[-1 - i, i]] for i in range(len(order) // 2)]
+        if len(order) % 2:
+            pairs.append(order[[len(order) // 2]])
+        self.shape = (len(pairs), max(sum(sizes[j] for j in pair) for pair in pairs))
+        self.spans = [None] * len(sizes)
+        slots = np.full(self.shape, dim * dim)
+        for row, pair in enumerate(pairs):
+            start = 0
+            for j in pair:
+                idx = generator.blocks[j][0]
+                stop = start + idx.size
+                self.spans[j] = (row, start, stop)
+                # vec index r + c*dim is the C-order flat index of rho[c, r]
+                slots[row, start:stop] = (idx % dim) * dim + idx // dim
+                start = stop
+        self.slots = slots.ravel()
+        rows = np.flatnonzero(self.slots < dim * dim)
+        flat = self.slots[rows]
+        mirror = (flat % dim) * dim + flat // dim
+        self.place = np.empty(dim * dim, dtype=np.intp)
+        self.lower = np.zeros(dim * dim, dtype=bool)
+        self.place[mirror] = rows
+        self.lower[mirror] = True
+        # an entry of sector 0 is its own mirror's sector: it keeps its row
+        self.place[flat] = rows
+        self.lower[flat] = False
+
+    def stack(self, matrices):
+        """The matrices of the sectors, in the generator's order, packed."""
+        out = np.zeros(self.shape + self.shape[1:], dtype=complex)
+        for (row, start, stop), matrix in zip(self.spans, matrices):
+            out[row, start:stop, start:stop] = matrix
+        return out
+
+    def unstack(self, stack):
+        """The matrices of the sectors in a stack, as views of it."""
+        return [stack[row, start:stop, start:stop] for row, start, stop in self.spans]
+
+
+def _packing(generator):
+    """The _Packing of the generator, made once and kept on it."""
+    packing = generator.__dict__.get("_rk4_packing")
+    if packing is None:
+        packing = generator.__dict__["_rk4_packing"] = _Packing(generator)
+    return packing
+
+
 def _step_polynomial(generator, dt):
-    """I + hG (I + hG/2 (I + hG/3 (I + hG/4))) with h = dt."""
-    hg = dt * generator
-    eye = sp.identity(generator.shape[0], dtype=complex, format="csr")
-    p = eye
-    for order in (4.0, 3.0, 2.0, 1.0):
-        p = eye + (hg @ p) / order
-    return p
+    """I + hG (I + hG/2 (I + hG/3 (I + hG/4))) with h = dt, one dense
+    matrix per sector of the generator."""
+    steps = []
+    for _, _, block in generator.blocks:
+        hg = dt * block
+        eye = np.eye(block.shape[0], dtype=complex)
+        p = eye + hg / 4.0
+        for order in (3.0, 2.0, 1.0):
+            p = eye + (hg @ p) / order
+        steps.append(p)
+    return steps
 
 
 def _powering(step, n):
@@ -76,49 +150,67 @@ def _powering(step, n):
 
 class _Gap:
     """n_steps RK4 steps of one size h, taken as repeat products with
-    matrix: P(h) n_steps times on the gap's first call, and from its
-    second call on P(h)^n_steps once, unless that power holds more than
-    n_steps * nnz(P) entries; one product with it would then cost more
-    than the steps, so it is dropped and the gap keeps stepping."""
+    matrix, the packed step matrices of the sectors: P(h) n_steps times,
+    or P(h)^n_steps once.
 
-    def __init__(self, step, n_steps):
+    A step costs one product of the stack with a vector, the stack's
+    size, and the power bit_length(n) + popcount(n) - 2 products per
+    sector, each of size^3, on the sectors' blocks of the stack. When
+    the steps of one call cost at least as much as the power, the gap
+    builds it on its first call; otherwise it steps on its first call
+    and builds the power on its second, so a gap that recurs, as the few
+    gaps of a uniform grid do hundreds of times, is one product from
+    then on, and a gap met once builds nothing.
+    """
+
+    def __init__(self, packing, step, n_steps):
+        self.packing = packing
         self.matrix = step
         self.repeat = n_steps
         self.calls = 0
+        products = n_steps.bit_length() + bin(n_steps).count("1") - 2
+        cubes = products * sum(size**3 for size in packing.sizes)
+        self.power_call = 1 if n_steps * step.size >= cubes else 2
 
     def advance(self, v):
         self.calls += 1
-        if self.calls == 2 and self.repeat > 1:
-            power = _powering(self.matrix, self.repeat)
-            if power.nnz <= self.repeat * self.matrix.nnz:
-                self.matrix, self.repeat = power, 1
+        if self.repeat > 1 and self.calls == self.power_call:
+            blocks = self.packing.unstack(self.matrix)
+            self.matrix = self.packing.stack([_powering(b, self.repeat) for b in blocks])
+            self.repeat = 1
         for _ in range(self.repeat):
             v = self.matrix @ v
         return v
 
 
 def rk4_advance(generator, rho, dt, n_steps):
-    """Advance rho by n_steps RK4 steps of size dt under the superoperator
-    generator; returns a new array and leaves rho untouched.
+    """Advance the Hermitian rho by n_steps RK4 steps of size dt under the
+    sectors of generator (a propagate.SpectralDecomposition); returns a
+    new array and leaves rho untouched.
 
-    The steps are taken by the _Gap of (dt, n_steps): n_steps products
-    with the step matrix P(dt) on its first call, and one product with
-    P(dt)^n_steps from its second call on. The gaps are cached on the
-    generator, so they last as long as it does: _rk4_stacks makes a fresh
-    one per call, as rotating_generator returns. Beyond _MAX_GAPS gaps
-    the oldest is dropped.
+    The steps are taken by the _Gap of (dt, n_steps), on the entries of
+    rho in the sectors k >= 0 laid out as the generator's _Packing; the
+    entries of sector -k are then the conjugates of those of sector k.
+    The packing and the gaps are cached on the generator, so they last
+    as long as it does: _rk4_stacks makes a fresh one per call. Beyond
+    _MAX_GAPS gaps the oldest is dropped.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    dim_super = generator.shape[0]
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size != dim_super:
+    dim = generator.dim
+    if rho.shape != (dim, dim):
         raise DimensionError(
-            f"state has shape {rho.shape}, generator acts on {dim_super} entries"
+            f"state has shape {rho.shape}, generator acts on {dim * dim} entries"
         )
+    packing = _packing(generator)
     gaps = generator.__dict__.setdefault("_rk4_gaps", {})
     gap = gaps.get((dt, n_steps))
     if gap is None:
         if len(gaps) >= _MAX_GAPS:
             del gaps[next(iter(gaps))]
-        gap = gaps[dt, n_steps] = _Gap(_step_polynomial(generator, dt), n_steps)
-    v = gap.advance(rho.flatten(order="F"))
-    return v.reshape(rho.shape, order="F")
+        step = packing.stack(_step_polynomial(generator, dt))
+        gap = gaps[dt, n_steps] = _Gap(packing, step, n_steps)
+    # the padding rows read the zero appended to the state
+    v = np.append(rho.ravel(), 0.0)[packing.slots].reshape(packing.shape + (1,))
+    out = gap.advance(v).ravel()[packing.place]
+    np.conjugate(out, out=out, where=packing.lower)
+    return out.reshape(dim, dim)

@@ -52,6 +52,7 @@ from .hilbert import (
     fock_state,
     single_excitation_state,
 )
+from ._kernels import _MAX_GAPS, packed_entries
 from .lindblad import build_liouvillian, build_rate_table, rate_table_columns
 from .observables import (
     OBSERVABLES,
@@ -442,25 +443,36 @@ def _default_extent(initial_state):
 # output helpers
 
 
+# _write_csv formats and writes this many rows at a time
+_CSV_ROWS = 1 << 12
+
+
 def _write_csv(path, header, columns):
     """All cells as '%.17g': full round-trip precision, byte-stable.
 
-    Each column goes through a float64 copy (integer columns too, whose
+    The rows go out in blocks of _CSV_ROWS, so the text held at once is
+    that of one block, whatever the length of the series. In a block,
+    each column goes through a float64 copy (integer columns too, whose
     text is unchanged below 2**53), each of its distinct values is
-    formatted once, and the text is placed by index. Values are told
-    apart by bit pattern, so -0.0 and 0.0, and NaNs of different
-    payloads, each keep their own text: the bytes are those of
-    formatting every cell."""
-    cells = []
-    for col in columns:
-        values = np.array(col, dtype=np.float64)
-        distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
-        text = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
-        cells.append(np.array(text, dtype=object)[where].tolist())
+    formatted once, the text is placed by index, and the block is
+    written by one string format. Values are told apart by bit pattern,
+    so -0.0 and 0.0, and NaNs of different payloads, each keep their own
+    text: the bytes are those of formatting every cell."""
+    columns = [np.asarray(col) for col in columns]
+    rows = min(len(col) for col in columns)
     row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.__mod__, zip(*cells)))
+        for start in range(0, rows, _CSV_ROWS):
+            stop = min(start + _CSV_ROWS, rows)
+            cells = []
+            for col in columns:
+                values = np.array(col[start:stop], dtype=np.float64)
+                distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
+                text = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
+                cells.append(np.array(text, dtype=object)[where])
+            block = np.stack(cells, axis=1)
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, payload):
@@ -503,8 +515,11 @@ def _allocations(config, command, spec):
     """(field, what, bytes) for the largest arrays of the command, from
     sizes the scenario fixes: one stack of states for every command, the
     oracle's stored and closed-form states, and a series run's snapshot
-    states, Husimi grid, coherent-state table and stored series. Exact in
-    Python ints, whatever the size of n_max."""
+    states, Husimi grid, coherent-state table and stored series; and on
+    the RK4 route of a command that propagates, the packed step matrices
+    of its cached gaps (_kernels.packed_entries per gap, for at most
+    _MAX_GAPS gaps of its longest run). Exact in Python ints, whatever
+    the size of n_max."""
     state = 16 * spec.dim_total**2
     stack = stack_states(spec.dim_total, STACK_BYTES)
     at = f"at n_max {_digits(spec.n_max)}"
@@ -514,6 +529,11 @@ def _allocations(config, command, spec):
         yield ("n_points",
                f"the store of {points} numeric and as many closed-form states {at}",
                2 * config.n_points * state)
+    if config.method == "rk4" and command in ("evolve", "husimi", "oracle"):
+        longest = config.n_points if command == "oracle" else max(_run_lengths(config))
+        gaps = min(_MAX_GAPS, longest - 1)
+        yield ("method", f"the step blocks of {gaps} cached RK4 gaps {at}",
+               16 * gaps * packed_entries(spec.n_max))
     if command not in ("evolve", "husimi"):
         return
     models = len(_models(config))
@@ -718,17 +738,22 @@ def _model_run(config, kind, params, spec, state, times):
     return values, snapshots, model_entry
 
 
+def _run_lengths(config):
+    """Output times of each run of one model: its series, its snapshots."""
+    runs = [config.n_points] if config.observables else []
+    if config.husimi is not None:
+        runs.append(len(config.husimi["times"]))
+    return runs
+
+
 def _side_by_side(config, spec):
     """Whether a two-model job runs its models side by side: only when a
     run of one model (its series or its snapshots) takes more than one
     stack. With fewer output times only the models' set-up would
     overlap, and the two set-ups contend."""
-    runs = [config.n_points] if config.observables else []
-    if config.husimi is not None:
-        runs.append(len(config.husimi["times"]))
     return (
         len(_models(config)) == 2
-        and max(runs) > stack_states(spec.dim_total, STACK_BYTES)
+        and max(_run_lengths(config)) > stack_states(spec.dim_total, STACK_BYTES)
     )
 
 

@@ -11,13 +11,16 @@ Superoperators use column-stacking vectorization: vec(A X B) =
 kron(B^T, A) vec(X), with vec(X) = X.flatten(order="F"). They are
 assembled only on demand: the microscopic generator also carries its
 exact split in the dressed basis (DressedSplit), which is all its
-spectral propagation and steady state need.
+spectral propagation and steady state need. The assembly itself is
+numpy only: superoperator_triplets gives the COO triplets of the
+superoperator, which propagate.spectral_decomposition sums into dense
+sectors, and scipy.sparse is imported only when Liouvillian.matrix is
+asked for.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BohrFrequencyError, DomainError
 from .hilbert import build_annihilation
@@ -188,6 +191,13 @@ def unvec(v, dim):
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
+def sector_labels(spec):
+    """Excitation difference k = N_r - N_c of each entry of vec(rho)."""
+    exc = spec.excitations()
+    # entry r + c * dim of vec(rho) is rho[r, c]
+    return (exc[:, None] - exc[None, :]).reshape(-1, order="F")
+
+
 @dataclass(frozen=True)
 class DressedSplit:
     """The microscopic generator in the dressed basis U of
@@ -272,16 +282,17 @@ class Liouvillian:
     """A Lindblad generator with structured and superoperator forms.
 
     hamiltonian and channels [(rate, jump operator)] carry the structured
-    form used by apply and by the RK4 step-size rule. matrix is the
-    sparse dim_super x dim_super superoperator (column stacking) that the
-    sector split and RK4 step; it is assembled on first access and
-    cached. RK4 does not multiply by it directly: from its rotating-frame
-    form it builds one sparse step matrix P(h) per distinct output gap
-    of n steps, and on the gap's second call the one sparse matrix
-    P(h)^n (_kernels.rk4_advance). dressed is the
-    DressedSplit of the microscopic generator (None for the
-    phenomenological one): with it, spectral propagation and the steady
-    state never assemble matrix.
+    form used by apply and by the RK4 step-size rule. From it,
+    superoperator_triplets gives the COO triplets of the dim_super x
+    dim_super superoperator (column stacking), which
+    propagate.spectral_decomposition sums into the dense sectors that the
+    phenomenological spectral route exponentiates and that RK4 steps on
+    either generator. matrix is the same superoperator as a scipy CSR
+    matrix, for the tests and for outside checks; it is assembled on
+    first access and cached, and it is the only thing here that imports
+    scipy. dressed is the DressedSplit of the microscopic
+    generator (None for the phenomenological one): with it, spectral
+    propagation and the steady state never assemble a superoperator.
     """
 
     def __init__(self, kind, spec, params, hamiltonian, channels,
@@ -297,7 +308,8 @@ class Liouvillian:
     @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = _assemble_superoperator(self.hamiltonian, self.channels)
+            triplets = superoperator_triplets(self.hamiltonian, self.channels)
+            self._matrix = _assemble_superoperator(*triplets, self.dim)
         return self._matrix
 
     @property
@@ -320,18 +332,18 @@ class Liouvillian:
         return out
 
 
-def _assemble_superoperator(hamiltonian, channels):
+def superoperator_triplets(hamiltonian, channels):
     """The superoperator of L[rho] = K rho + rho K^dag + sum_k rate_k J_k
     rho J_k^dag, with K = -iH - M/2 and M = sum_k rate_k J_k^dag J_k, as
-    one canonical CSR matrix converted once from COO triplets.
+    COO triplets (rows, cols, values); coinciding triplets add up.
 
     Each jump's nonzeros J[r, c] = v give kron(conj(J), J) as their outer
     product: rate conj(v_i) v_k at (r_i dim + r_k, c_i dim + c_k). The
     pairs with r_i = r_k are also the entries of rate J^dag J at
     (c_i, c_k), summed into M in channel order. kron(I, K) and
     kron(conj(K), I) add one triplet per nonzero of K and index of the
-    identity. Coinciding triplets are summed in the conversion, and
-    entries that cancel to zero are dropped.
+    identity. The jumps' triplets come first, in channel order, then
+    those of kron(I, K) and kron(conj(K), I).
     """
     dim = hamiltonian.shape[0]
     rows, cols, vals = [], [], []
@@ -353,10 +365,16 @@ def _assemble_superoperator(hamiltonian, channels):
     rows += [(ident[:, None] * dim + r).ravel(), (r[:, None] * dim + ident).ravel()]
     cols += [(ident[:, None] * dim + c).ravel(), (c[:, None] * dim + ident).ravel()]
     vals += [np.tile(v, dim), np.repeat(v.conj(), dim)]
-    lsup = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim * dim, dim * dim),
-    ).tocsr()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _assemble_superoperator(rows, cols, vals, dim):
+    """One canonical CSR matrix of dim^2 x dim^2 from the triplets,
+    converted once: coinciding triplets are summed in the conversion,
+    and entries that cancel to zero are dropped."""
+    import scipy.sparse as sp
+
+    lsup = sp.coo_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim)).tocsr()
     lsup.eliminate_zeros()
     lsup.sort_indices()
     return lsup
@@ -460,7 +478,7 @@ def build_liouvillian(kind, params, spec):
     channels of the given kind: "microscopic" (jumps between dressed
     states with Bohr-resolved rates, plus their DressedSplit) or
     "phenomenological" (bare-cavity damping). The superoperator is not
-    assembled here (see Liouvillian.matrix)."""
+    assembled here (see superoperator_triplets and Liouvillian.matrix)."""
     dressed = None
     if kind == "microscopic":
         spectrum = dressed_spectrum(params, spec)

@@ -12,13 +12,18 @@ they can cross-check each other:
   superoperator, and the sectors k >= 0 are stepped; sector -k is their
   adjoint. The rate matrix and the sectors go through one stepper
   (_Stepper), and
-* rk4: classical fixed-step fourth-order integration of the same sparse
-  superoperator, in the frame rotating at the cavity frequency where the
-  step-size requirement is set by the coupling and detuning scales
-  instead of the optical frequency. Each step applies the RK4 step
-  polynomial P(h) as one sparse matrix, built once per distinct output
-  gap of n steps; from the gap's second call on it is one product with
-  P(h)^n (_kernels.rk4_advance).
+* rk4: classical fixed-step fourth-order integration of the same
+  dense sectors, of either generator, in the frame rotating at the
+  cavity frequency where the step-size requirement is set by the
+  coupling and detuning scales instead of the optical frequency. Each
+  step applies the RK4 step polynomial P(h) of every sector k >= 0,
+  built once per distinct output gap of n steps; a gap is one product
+  with P(h)^n from its first call if its steps cost more than that
+  power, and from its second call otherwise (_kernels.rk4_advance).
+
+Both routes take their sectors from spectral_decomposition, which sums
+the generator's COO triplets (lindblad.superoperator_triplets) into
+dense blocks with numpy; no route needs scipy.
 
 Each route is a source of stacks of lab-frame states, and evolve runs
 one loop over the source it picks: guards, then store or observe.
@@ -44,7 +49,7 @@ from .errors import (
 )
 from .hilbert import QUBIT_E, QUBIT_G, hermiticity_defect
 from .dressed import dressed_spectrum, dressed_vector, ground_vector
-from .lindblad import unvec, vec
+from .lindblad import sector_labels, superoperator_triplets, unvec, vec
 from . import _kernels
 
 
@@ -220,11 +225,14 @@ class SpectralDecomposition:
 
     blocks holds one (indices, k, matrix) per sector, in ascending k from
     0: the vec indices r + c*dim of its entries rho[r, c], ascending, and
-    the dense sector of _kernels.rotating_generator on them. Sector -k is
-    the adjoint of sector k, so its entries are the conjugates of their
-    transposes and are not stepped. The names SpectralDecomposition,
-    blocks, _decomp, spectral_decomposition and propagate_vec stay for
-    jcbench/tracer.py, which times and counts these sites.
+    the dense sector of the rotating-frame generator on them. Sector -k
+    is the adjoint of sector k, so its entries are the conjugates of
+    their transposes and are not stepped. The spectral route of the
+    phenomenological generator exponentiates the blocks, and RK4 steps
+    them (_kernels.rk4_advance) on either generator. The names
+    SpectralDecomposition, blocks, _decomp, spectral_decomposition and
+    propagate_vec stay for jcbench/tracer.py, which times and counts
+    these sites.
     """
 
     dim: int
@@ -271,25 +279,41 @@ def spectral_decomposition(liouvillian):
 
     H conserves the excitation number N and every jump moves it by one
     on both sides of rho, so k = N_row - N_col is conserved and the
-    split is exact.
+    split is exact. Each sector is summed straight from the generator's
+    COO triplets, plus the frame shift i omega k on its diagonal, by one
+    np.bincount over the sectors' concatenated entries: coinciding
+    triplets add up in their order, and the shift comes last.
     """
     cached = getattr(liouvillian, "_decomp", None)
     if cached is not None:
         return cached
-    sector = _kernels.sector_labels(liouvillian.spec)
-    # one symmetric permutation makes every sector a contiguous diagonal
-    # block; the stable sort keeps each sector's indices ascending
+    sector = sector_labels(liouvillian.spec)
+    omega = float(liouvillian.params.omega)
+    # the stable sort keeps each sector's indices ascending
     order = np.argsort(sector, kind="stable")
     order = order[sector[order] >= 0]
     bounds = np.searchsorted(sector[order], np.arange(sector.max() + 2))
-    permuted = _kernels.rotating_generator(liouvillian)[order][:, order]
+    sizes = np.diff(bounds)
+    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    # the place of each vec index within its sector
+    place = np.empty(sector.size, dtype=np.intp)
+    place[order] = np.arange(order.size) - np.repeat(bounds[:-1], sizes)
+    rows, cols, vals = superoperator_triplets(liouvillian.hamiltonian, liouvillian.channels)
+    rows = np.concatenate([rows, order])
+    cols = np.concatenate([cols, order])
+    vals = np.concatenate([vals, 1j * omega * sector[order]])
+    label = sector[rows]
+    keep = (label >= 0) & (label == sector[cols])
+    rows, cols, vals, label = rows[keep], cols[keep], vals[keep], label[keep]
+    flat = offsets[label] + place[rows] * sizes[label] + place[cols]
+    entries = np.empty(offsets[-1], dtype=complex)
+    entries.real = np.bincount(flat, weights=vals.real, minlength=offsets[-1])
+    entries.imag = np.bincount(flat, weights=vals.imag, minlength=offsets[-1])
     blocks = [
-        (order[start:stop], k, permuted[start:stop, start:stop].toarray())
+        (order[start:stop], k, entries[offsets[k] : offsets[k + 1]].reshape(stop - start, -1))
         for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
-    decomp = SpectralDecomposition(
-        dim=liouvillian.dim, omega=float(liouvillian.params.omega), blocks=blocks
-    )
+    decomp = SpectralDecomposition(dim=liouvillian.dim, omega=omega, blocks=blocks)
     liouvillian._decomp = decomp
     return decomp
 
@@ -490,14 +514,19 @@ def _rk4_gaps(times, dt):
 
 
 def _rk4_stacks(liouvillian, rho0, times, gaps, chunk):
-    """(start, t_chunk, stack) from fixed-step RK4 in the rotating frame.
+    """(start, t_chunk, stack) from fixed-step RK4 in the rotating frame,
+    on the sectors of spectral_decomposition.
 
     Each output time is reached by its gap of _rk4_gaps. Each state is
     handed out as stepped, turned back to the lab frame; the stepping
     goes on from its Hermitized, renormalized copy, so the guards see the
     raw drift of one gap and it does not build up over the run.
+    rk4_advance keeps its gaps on the generator it is given; a fresh one
+    on the same blocks keeps them for this run only, so every run steps
+    alike.
     """
-    generator = _kernels.rotating_generator(liouvillian)
+    decomp = spectral_decomposition(liouvillian)
+    generator = SpectralDecomposition(decomp.dim, decomp.omega, decomp.blocks)
     omega = float(liouvillian.params.omega)
     exc = liouvillian.spec.excitations()
     dim = liouvillian.dim

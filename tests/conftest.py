@@ -11,8 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from jcdiss import cli
+from jcdiss.lindblad import sector_labels
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(REPO_ROOT, "scenarios")
@@ -48,6 +50,16 @@ def read_csv(path):
         rows = [line.strip().split(",") for line in fh if line.strip()]
     data = np.asarray(rows, dtype=float)
     return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def rotating_generator(liouvillian):
+    """The sparse reference of the rotating-frame generator: the CSR
+    superoperator Liouvillian.matrix plus i omega (N_r - N_c) on its
+    diagonal, as one CSR matrix. The package itself steps and
+    exponentiates its dense sectors (propagate.spectral_decomposition)."""
+    shift = sector_labels(liouvillian.spec)
+    omega = liouvillian.params.omega
+    return sp.csr_matrix(liouvillian.matrix + sp.diags(1j * omega * shift))
 
 
 @pytest.fixture(scope="session")

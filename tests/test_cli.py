@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -18,8 +19,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import jcdiss.lindblad
 import jcdiss.propagate
-from jcdiss import _blas, _malloc, cli
-from jcdiss._kernels import rotating_generator
+from jcdiss import _blas, _kernels, _malloc, cli
 from jcdiss.dressed import SystemParams
 from jcdiss.errors import ConfigError, DriftError, TruncationError
 from jcdiss.lindblad import build_liouvillian, unvec, vec
@@ -33,7 +33,7 @@ from jcdiss.propagate import (
 from jcdiss.hilbert import QUBIT_E, QUBIT_G, SpaceSpec, coherent_state, density_matrix
 from jcdiss.observables import OBSERVABLES
 
-from conftest import REPO_ROOT, load_scenario, read_csv
+from conftest import REPO_ROOT, load_scenario, read_csv, rotating_generator
 
 
 def _tiny_raw(**overrides):
@@ -216,6 +216,34 @@ def test_write_csv_matches_formatting_every_cell(tmp_path, columns):
     cli._write_csv(str(tmp_path / "csv"), header, columns)
     _write_csv_reference(str(tmp_path / "reference"), header, columns)
     assert (tmp_path / "csv").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_write_csv_in_blocks_matches_formatting_every_cell(tmp_path, monkeypatch, block_rows):
+    # values that recur in several blocks, and blocks that end mid-column
+    monkeypatch.setattr(cli, "_CSV_ROWS", block_rows)
+    specials = np.array(_SPECIAL_FLOATS * 2)
+    columns = [specials, specials[::-1].copy(), np.arange(specials.size, dtype=np.int64)]
+    header = ["a", "b", "n"]
+    cli._write_csv(str(tmp_path / "csv"), header, columns)
+    _write_csv_reference(str(tmp_path / "reference"), header, columns)
+    assert (tmp_path / "csv").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+def test_write_csv_holds_one_block_of_text(tmp_path):
+    # 200,000 rows of 3 columns are 4.8 MB of float64; formatting every
+    # cell before writing any peaked at 12 times that
+    rows = 200_000
+    rng = np.random.default_rng(7)
+    columns = [np.linspace(0.0, 50.0, rows), rng.normal(size=rows), rng.normal(size=rows)]
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "long.csv"), ["gt", "value", "value_phenomenological"],
+                       columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 3 * rows, peak
 
 
 def _tiny_config(tmp_path, out="out", **overrides):
@@ -834,7 +862,16 @@ def test_memory_check_admits_a_run_whose_stack_just_fits(tmp_path, capsys, monke
      "bytes"),
     ("evolve", {"n_points": 600_000_000}, 8 << 30,
      "n_points: the store of 2 series of 600000000 times takes 9600000000 bytes"),
-], ids=["oracle-states", "husimi-grid", "husimi-table", "snapshots", "series"])
+    # 16 packed blocks of 120 x 120 at n_max 29, 16 bytes an entry per cached gap
+    ("evolve", {"method": "rk4", "n_max": 29, "n_points": 1601}, 100_000_000,
+     "method: the step blocks of 64 cached RK4 gaps at n_max 29 takes 235929600 bytes"),
+    ("husimi", {"method": "rk4", "n_max": 29, "husimi": {"times": [0.0, 1.0, 2.0]}},
+     4_000_000,
+     "method: the step blocks of 2 cached RK4 gaps at n_max 29 takes 7372800 bytes"),
+    ("oracle", {"method": "rk4", "n_max": 29, "n_points": 101}, 100_000_000,
+     "method: the step blocks of 64 cached RK4 gaps at n_max 29 takes 235929600 bytes"),
+], ids=["oracle-states", "husimi-grid", "husimi-table", "snapshots", "series",
+        "rk4-series-gaps", "rk4-snapshot-gaps", "rk4-oracle-gaps"])
 def test_run_whose_largest_array_exceeds_available_memory_exits_2(
     tmp_path, capsys, monkeypatch, command, overrides, available, message
 ):
@@ -850,6 +887,21 @@ def test_run_whose_largest_array_exceeds_available_memory_exits_2(
     assert capsys.readouterr().err == (
         f"config error: {message}, more than the {available} bytes of available memory\n"
     )
+
+
+def test_memory_check_prices_the_rk4_step_blocks_of_the_real_sectors():
+    # one packed stack of step blocks per cached gap; the spectral route
+    # caches no step blocks
+    raw = _tiny_raw(model="both", n_points=11)
+    spec = SpaceSpec(8)
+    liouvillian = build_liouvillian("phenomenological", SystemParams(100.0, 100.0), spec)
+    decomp = jcdiss.propagate.spectral_decomposition(liouvillian)
+    step = _kernels._packing(decomp).stack(_kernels._step_polynomial(decomp, 1e-3))
+    for method, want in (("spectral", []), ("rk4", [10 * step.nbytes])):
+        config = cli.parse_config({**raw, "method": method})
+        got = [needed for field, _, needed in cli._allocations(config, "evolve", spec)
+               if field == "method"]
+        assert got == want, method
 
 
 def test_memory_check_is_skipped_without_a_reading(monkeypatch):
@@ -1071,14 +1123,16 @@ libraries = None
 if os.path.exists(maps):
     with open(maps) as fh:
         libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("scipy.")),
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "openblas": libraries}))
 """
 
 
-def test_every_command_runs_without_scipy_linalg_or_special(tmp_path):
-    # the package's dense linear algebra is numpy's; scipy.linalg would map
-    # scipy's own OpenBLAS build, and its thread pool, into the process
+def test_every_command_runs_without_scipy(tmp_path):
+    # every command runs on numpy alone: the sectors are summed from COO
+    # triplets and RK4 steps them, so no command loads scipy.sparse, and
+    # scipy.linalg would map scipy's own OpenBLAS build, and its thread
+    # pool, into the process
     coherent = _tiny_raw(
         model="both",
         initial_state={"kind": "coherent", "alpha": [0.4, 0.2], "qubit_level": "excited"},
@@ -1105,9 +1159,7 @@ def test_every_command_runs_without_scipy_linalg_or_special(tmp_path):
                            capture_output=True, text=True, env=env)
     assert child.returncode == 0, child.stderr
     loaded = json.loads(child.stdout.splitlines()[-1])
-    assert "scipy.sparse" in loaded["modules"]
-    assert "scipy.linalg" not in loaded["modules"]
-    assert "scipy.special" not in loaded["modules"]
+    assert loaded["modules"] == []
     if loaded["openblas"] is not None:
         assert len(loaded["openblas"]) == 1, loaded["openblas"]
 

@@ -1,9 +1,8 @@
-"""RK4 on the shared superoperator: the rotating-frame generator and the
-stepper, held to the staged k1..k4 loop it replaces."""
+"""RK4 on the shared sectors: the rotating-frame generator and the
+stepper, held to the staged k1..k4 loop on the sparse reference."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import expm
 
 from jcdiss import _kernels
@@ -11,7 +10,9 @@ from jcdiss.errors import DimensionError
 from jcdiss.hilbert import QUBIT_E, QUBIT_G, SpaceSpec, fock_state
 from jcdiss.dressed import SystemParams
 from jcdiss.lindblad import build_liouvillian, unvec, vec
-from jcdiss.propagate import evolve
+from jcdiss.propagate import evolve, spectral_decomposition
+
+from conftest import rotating_generator
 
 
 def _liouvillian(kind="microscopic", nbar=0.3):
@@ -37,7 +38,7 @@ def test_rotating_generator_matches_structured_generator(kind, nbar):
     n_op = np.diag(liouvillian.spec.excitations().astype(complex))
     omega = liouvillian.params.omega
     want = liouvillian.apply(rho) + 1j * omega * (n_op @ rho - rho @ n_op)
-    got = unvec(_kernels.rotating_generator(liouvillian) @ vec(rho), liouvillian.dim)
+    got = unvec(rotating_generator(liouvillian) @ vec(rho), liouvillian.dim)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -57,23 +58,28 @@ def _staged_rk4(generator, rho, dt, n_steps):
 @pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
 @pytest.mark.parametrize("nbar", [0.0, 0.5])
 def test_advance_matches_staged_rk4(kind, nbar):
-    # the step matrix and its power regroup the stages' arithmetic:
-    # rounding only, measured at most 1.1e-14 relative on call 1 of each
-    # (dt, n_steps), which steps with P(dt), and 1.8e-14 on call 2, which
-    # applies P(dt)^n_steps
+    # the sectors' step matrices and their powers regroup the stages'
+    # arithmetic on the whole sparse generator: rounding only. Each gap
+    # is held to the loop on the calls that step with P(dt) and on those
+    # that apply P(dt)^n_steps; (7e-3, 200) builds its power on call 1,
+    # the other gaps of more than one step on call 2
     liouvillian = _liouvillian(kind, nbar)
-    generator = _kernels.rotating_generator(liouvillian)
+    reference = rotating_generator(liouvillian)
+    generator = spectral_decomposition(liouvillian)
     rho = _random_state(liouvillian.dim, 5)
+    power_calls = {}
     for dt, n_steps in ((1e-3, 1), (1e-3, 50), (7e-3, 200), (0.02, 13)):
-        want = _staged_rk4(generator, rho, dt, n_steps)
+        want = _staged_rk4(reference, rho, dt, n_steps)
         for call in (1, 2):
             got = _kernels.rk4_advance(generator, rho, dt, n_steps)
             gap = generator._rk4_gaps[dt, n_steps]
             assert gap.calls == call
-            assert gap.repeat == (n_steps if call == 1 else 1)
+            assert gap.repeat == (n_steps if call < gap.power_call else 1)
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max(), (
                 dt, n_steps, call
             )
+        power_calls[n_steps] = gap.power_call
+    assert power_calls == {1: 1, 50: 2, 200: 1, 13: 2}
 
 
 def test_evolve_builds_one_step_matrix_per_gap_length(monkeypatch):
@@ -105,68 +111,53 @@ def _counted_powering(monkeypatch):
     return builds
 
 
-def test_power_built_on_a_gaps_second_call(monkeypatch):
+def test_power_built_once_on_a_gaps_first_or_second_call(monkeypatch):
     builds = _counted_powering(monkeypatch)
     liouvillian = _liouvillian(nbar=0.0)
-    generator = _kernels.rotating_generator(liouvillian)
+    generator = spectral_decomposition(liouvillian)
+    sectors = len(generator.blocks)
     rho = _random_state(liouvillian.dim, 3)
-    # a gap met once builds nothing, nor does one of zero or one step
+    # a short gap met once builds nothing, nor does one of zero or one step;
+    # zero steps give back a Hermitian state, rebuilt from its sectors k >= 0
+    hermitian = 0.5 * (rho + rho.conj().T)
     for dt, n_steps in ((1e-3, 40), (1e-3, 41), (2e-3, 40)):
         _kernels.rk4_advance(generator, rho, dt, n_steps)
     for _ in range(3):
-        assert np.array_equal(_kernels.rk4_advance(generator, rho, 1e-3, 0), rho)
+        assert np.array_equal(_kernels.rk4_advance(generator, hermitian, 1e-3, 0), hermitian)
         _kernels.rk4_advance(generator, rho, 4e-3, 1)
     assert builds == []
 
-    # the second call builds the power, exactly once
-    step_nnz = _kernels._step_polynomial(generator, 3e-3).nnz
+    # a short gap builds the power on its second call, exactly once per sector
     for call in range(1, 9):
         _kernels.rk4_advance(generator, rho, 3e-3, 40)
-        assert len(builds) == (0 if call == 1 else 1), call
+        assert len(builds) == (0 if call == 1 else sectors), call
     gap = generator._rk4_gaps[3e-3, 40]
-    assert builds[0][1] == 40 and gap.repeat == 1
-    assert gap.matrix.nnz <= 40 * step_nnz
+    assert gap.power_call == 2 and gap.repeat == 1
+    assert {n for _, n in builds} == {40}
+
+    # a gap whose steps cost more than its power builds it on its first call
+    builds.clear()
+    _kernels.rk4_advance(generator, rho, 1e-4, 4000)
+    assert len(builds) == sectors
+    assert generator._rk4_gaps[1e-4, 4000].repeat == 1
 
     # a linspace grid repeats its few gaps: one build each at most
     builds.clear()
     times = np.linspace(0.0, 6.0, 601)
     psi0 = fock_state(1, QUBIT_E, liouvillian.spec)
     evolve(liouvillian, psi0, times, method="rk4")
-    assert 1 <= len(builds) <= len(set(np.diff(times)))
+    assert sectors <= len(builds) <= sectors * len(set(np.diff(times)))
     assert len({id(step) for step, _ in builds}) == len(builds)
 
 
-def test_power_denser_than_its_steps_is_dropped(monkeypatch):
-    # three random entries a row: P holds up to 1 + 3 + ... + 3^4 = 121
-    # entries a row, P^2 fills most of each 484-entry row
-    builds = _counted_powering(monkeypatch)
-    rng = np.random.default_rng(11)
-    dim_super = 22 * 22
-    rows = np.repeat(np.arange(dim_super), 3)
-    cols = rng.integers(0, dim_super, rows.size)
-    vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
-    generator = sp.csr_matrix((vals, (rows, cols)), shape=(dim_super,) * 2)
-    rho = _random_state(22, 9)
-    want = _staged_rk4(generator, rho, 1e-2, 2)
-    for _ in range(64):
-        got = _kernels.rk4_advance(generator, rho, 1e-2, 2)
-        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-    # the power was built once, on the second call, and dropped: the gap
-    # steps with P for the rest of the run
-    gap = generator._rk4_gaps[1e-2, 2]
-    assert len(builds) == 1 and gap.calls == 64
-    step = gap.matrix
-    assert gap.repeat == 2
-    assert _kernels._step_polynomial(generator, 1e-2).nnz == step.nnz
-    assert (step @ step).nnz > 2 * step.nnz
-
-
 def test_rotating_frame_shifts_only_the_diagonal():
+    # each sector is the superoperator's block plus i omega k on its diagonal
     liouvillian = _liouvillian()
-    exc = liouvillian.spec.excitations()
-    shift = (_kernels.rotating_generator(liouvillian) - liouvillian.matrix).toarray()
-    want = 1j * liouvillian.params.omega * (exc[:, None] - exc[None, :])
-    assert np.abs(shift - np.diag(want.reshape(-1, order="F"))).max() < 1e-12
+    matrix = liouvillian.matrix
+    omega = liouvillian.params.omega
+    for idx, k, block in spectral_decomposition(liouvillian).blocks:
+        shift = block - matrix[idx][:, idx].toarray()
+        assert np.abs(shift - 1j * omega * k * np.eye(idx.size)).max() < 1e-12
 
 
 def test_frame_phases():
@@ -186,7 +177,7 @@ def test_frame_phases():
 
 def test_advance_leaves_input_untouched():
     liouvillian = _liouvillian()
-    generator = _kernels.rotating_generator(liouvillian)
+    generator = spectral_decomposition(liouvillian)
     rho = np.eye(liouvillian.dim, dtype=complex) / liouvillian.dim
     before = rho.copy()
     _kernels.rk4_advance(generator, rho, 1e-3, 10)
@@ -195,7 +186,7 @@ def test_advance_leaves_input_untouched():
 
 def test_kernel_dimension_guards():
     liouvillian = _liouvillian()
-    generator = _kernels.rotating_generator(liouvillian)
+    generator = spectral_decomposition(liouvillian)
     d = liouvillian.dim
     for bad in (
         np.zeros((3, 3), dtype=complex),

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 import jcdiss.propagate as propagate
+from jcdiss import _kernels
 from jcdiss.errors import (
     DegenerateKernelError,
     DomainError,
@@ -25,7 +26,6 @@ from jcdiss.hilbert import (
     single_excitation_state,
 )
 from jcdiss.dressed import SystemParams, dressed_spectrum, dressed_vector, ground_vector
-from jcdiss._kernels import rotating_generator
 from jcdiss.lindblad import Liouvillian, build_liouvillian, unvec, vec
 from jcdiss.observables import inversion
 from jcdiss.propagate import (
@@ -42,6 +42,8 @@ from jcdiss.propagate import (
     steady_state,
     trace_distance,
 )
+
+from conftest import rotating_generator
 
 
 def _params(delta=0.0, gamma=0.2, nbar=0.0, g=1.0):
@@ -176,6 +178,18 @@ def test_expm_matches_scipy():
         got = _expm(m)
         assert got.dtype == want.dtype
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["microscopic", "phenomenological"])
+def test_packed_entries_counts_the_packed_sectors(kind):
+    for n_max in range(1, 10):
+        liouvillian = build_liouvillian(kind, _params(nbar=0.1), SpaceSpec(n_max))
+        decomp = spectral_decomposition(liouvillian)
+        assert [idx.size for idx, _, _ in decomp.blocks] == (
+            [4 * n_max + 2] + [4 * (n_max + 1 - k) for k in range(1, n_max + 1)] + [1]
+        )
+        blocks, side = _kernels._packing(decomp).shape
+        assert blocks * side * side == _kernels.packed_entries(n_max)
 
 
 def test_uneven_time_list_matches_expm_multiply():
