@@ -5,9 +5,9 @@ The package builds both Lindblad generators on a truncated qubit-cavity
 space and propagates them spectrally, by exact matrix-exponential steps
 over the output grid (the microscopic one in its dressed frame, the
 phenomenological one by sectors of fixed excitation difference), or by
-fixed-step RK4 on the sparse superoperator. It also
-provides closed-form single-excitation solutions and the observables
-needed to compare the two damping models.
+fixed-step RK4 on those sectors, of either generator. It also provides
+closed-form single-excitation solutions and the observables needed to
+compare the two damping models.
 """
 
 from .errors import (

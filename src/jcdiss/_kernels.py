@@ -13,16 +13,18 @@ i omega (N_r - N_c) to the superoperator, with N_r and N_c the
 excitation numbers of the row and column index of each entry, and the
 generator conserves k = N_r - N_c. RK4 steps the dense sectors k >= 0
 of propagate.spectral_decomposition, the blocks that the spectral route
-of the phenomenological generator exponentiates. Sector -k holds the
-conjugates of the transposed entries of sector k, so it is not stepped:
-the state must be Hermitian, as every state the routes hand on is.
+of the phenomenological generator exponentiates, from the state at
+t = 0. An RK4Source hands out their values as the spectral route's
+steppers do, and SpectralDecomposition.propagate_vec turns them into
+lab-frame states: it applies the frame phases and fills sector -k with
+the conjugates of the transposed entries of sector k.
 
 With G one sector, one RK4 step of size h is exactly the step matrix
 P(h) = I + hG (I + hG/2 (I + hG/3 (I + hG/4))), the degree-4 Taylor
 polynomial of exp(hG) that the four stages compute, and n steps are
-exactly P(h)^n. rk4_advance keeps one _Gap per distinct (h, n) on the
-generator. It builds P(h), and P(h)^n by binary powering, one dense
-matrix per sector, and keeps and applies them paired into one stack of
+exactly P(h)^n. The source keeps one _Gap per distinct (h, n) of its
+run. It builds P(h), and P(h)^n by binary powering, one dense matrix
+per sector, and keeps them and the state paired into one stack of
 equal square blocks (_Packing), so that a step is one batched product,
 not one small product per sector: at n_max = 8, ten products a step
 took longer than the sparse step matrix they replace, on their calls
@@ -40,10 +42,8 @@ so a short gap met once builds nothing.
 
 import numpy as np
 
-from .errors import DimensionError
-
-# most gaps cached per generator: a linspace grid needs 10-13, a grid
-# whose every gap differs (logspace) would keep one per time
+# most gaps cached per run: a linspace grid from t = 0 needs one, a
+# grid whose every gap differs (logspace) would keep one per time
 _MAX_GAPS = 64
 
 
@@ -58,51 +58,34 @@ def packed_entries(n_max):
 
 
 class _Packing:
-    """The sectors k >= 0 of a generator paired into one stack of equal
-    square blocks: the largest sector left with the smallest, the two
-    on the diagonal of their block, zeros around them and in the
-    padding.
+    """Sectors of the given sizes paired into one stack of equal square
+    blocks: the largest sector left with the smallest, the two on the
+    diagonal of their block, zeros around them and in the padding.
 
-    sizes and spans hold the rows and the (block, start, stop) of each
-    sector, in the generator's order. slots holds, for each row of the
-    stack, the C-order flat index of the entry of rho it carries, or
-    dim^2 in the padding; place holds, for each entry of rho, the row of
-    the stack that gives it, and lower marks the entries of the sectors
-    k < 0, which take the conjugate of their mirror's row."""
+    spans holds the (block, start, stop) of each sector, in the given
+    order, and rows the flat row of the stack of each value of the
+    sectors, concatenated in that order."""
 
-    def __init__(self, generator):
-        dim = generator.dim
-        self.sizes = sizes = [idx.size for idx, _, _ in generator.blocks]
+    def __init__(self, sizes):
+        self.sizes = sizes
         order = np.argsort(sizes, kind="stable")
         pairs = [order[[-1 - i, i]] for i in range(len(order) // 2)]
         if len(order) % 2:
             pairs.append(order[[len(order) // 2]])
         self.shape = (len(pairs), max(sum(sizes[j] for j in pair) for pair in pairs))
         self.spans = [None] * len(sizes)
-        slots = np.full(self.shape, dim * dim)
         for row, pair in enumerate(pairs):
             start = 0
             for j in pair:
-                idx = generator.blocks[j][0]
-                stop = start + idx.size
-                self.spans[j] = (row, start, stop)
-                # vec index r + c*dim is the C-order flat index of rho[c, r]
-                slots[row, start:stop] = (idx % dim) * dim + idx // dim
-                start = stop
-        self.slots = slots.ravel()
-        rows = np.flatnonzero(self.slots < dim * dim)
-        flat = self.slots[rows]
-        mirror = (flat % dim) * dim + flat // dim
-        self.place = np.empty(dim * dim, dtype=np.intp)
-        self.lower = np.zeros(dim * dim, dtype=bool)
-        self.place[mirror] = rows
-        self.lower[mirror] = True
-        # an entry of sector 0 is its own mirror's sector: it keeps its row
-        self.place[flat] = rows
-        self.lower[flat] = False
+                self.spans[j] = (row, start, start + sizes[j])
+                start += sizes[j]
+        side = self.shape[1]
+        self.rows = np.concatenate(
+            [np.arange(start, stop) + row * side for row, start, stop in self.spans]
+        )
 
     def stack(self, matrices):
-        """The matrices of the sectors, in the generator's order, packed."""
+        """The matrices of the sectors, in the given order, packed."""
         out = np.zeros(self.shape + self.shape[1:], dtype=complex)
         for (row, start, stop), matrix in zip(self.spans, matrices):
             out[row, start:stop, start:stop] = matrix
@@ -111,14 +94,6 @@ class _Packing:
     def unstack(self, stack):
         """The matrices of the sectors in a stack, as views of it."""
         return [stack[row, start:stop, start:stop] for row, start, stop in self.spans]
-
-
-def _packing(generator):
-    """The _Packing of the generator, made once and kept on it."""
-    packing = generator.__dict__.get("_rk4_packing")
-    if packing is None:
-        packing = generator.__dict__["_rk4_packing"] = _Packing(generator)
-    return packing
 
 
 def _step_polynomial(generator, dt):
@@ -158,8 +133,8 @@ class _Gap:
     sector, each of size^3, on the sectors' blocks of the stack. When
     the steps of one call cost at least as much as the power, the gap
     builds it on its first call; otherwise it steps on its first call
-    and builds the power on its second, so a gap that recurs, as the few
-    gaps of a uniform grid do hundreds of times, is one product from
+    and builds the power on its second, so a gap that recurs, as the one
+    gap of a uniform grid does hundreds of times, is one product from
     then on, and a gap met once builds nothing.
     """
 
@@ -183,34 +158,50 @@ class _Gap:
         return v
 
 
-def rk4_advance(generator, rho, dt, n_steps):
-    """Advance the Hermitian rho by n_steps RK4 steps of size dt under the
-    sectors of generator (a propagate.SpectralDecomposition); returns a
-    new array and leaves rho untouched.
+class RK4Source:
+    """The values of the sectors k >= 0 of a SpectralDecomposition at
+    consecutive output times, handed out in order by take(count), as
+    propagate._Stepper hands out those of one sector: the columns of a
+    new array, the sectors' values concatenated in the decomposition's
+    order, for its propagate_vec.
 
-    The steps are taken by the _Gap of (dt, n_steps), on the entries of
-    rho in the sectors k >= 0 laid out as the generator's _Packing; the
-    entries of sector -k are then the conjugates of those of sector k.
-    The packing and the gaps are cached on the generator, so they last
-    as long as it does: _rk4_stacks makes a fresh one per call. Beyond
-    _MAX_GAPS gaps the oldest is dropped.
+    The state starts from v0 = vec(rho) at t = 0 and stays packed
+    (_Packing) to the end of the run. schedule holds the (h, n) of each
+    output time (propagate._rk4_gaps): n steps of size h reach it from
+    the time before, by one rk4_advance call. The source owns its
+    packing and its _Gap per distinct (h, n), so they last one run.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    dim = generator.dim
-    if rho.shape != (dim, dim):
-        raise DimensionError(
-            f"state has shape {rho.shape}, generator acts on {dim * dim} entries"
-        )
-    packing = _packing(generator)
-    gaps = generator.__dict__.setdefault("_rk4_gaps", {})
+
+    def __init__(self, decomp, v0, schedule):
+        self.blocks = decomp.blocks
+        self.packing = packing = _Packing([idx.size for idx, _, _ in self.blocks])
+        self.schedule = schedule
+        self.gaps = {}
+        self.taken = 0
+        v = np.zeros(packing.shape[0] * packing.shape[1], dtype=complex)
+        v[packing.rows] = np.concatenate([v0[idx] for idx, _, _ in self.blocks])
+        self.v = v.reshape(packing.shape + (1,))
+
+    def take(self, count):
+        """The next count states, as the columns of a new array."""
+        out = np.empty((self.packing.rows.size, count), dtype=complex)
+        for c, (h, n) in enumerate(self.schedule[self.taken : self.taken + count]):
+            if n:
+                self.v = rk4_advance(self, self.v, h, n)
+            out[:, c] = self.v.ravel()[self.packing.rows]
+        self.taken += count
+        return out
+
+
+def rk4_advance(source, v, dt, n_steps):
+    """The packed values v of an RK4Source advanced by n_steps RK4 steps
+    of size dt, by the source's _Gap of (dt, n_steps); a new array, or v
+    itself for no steps. Beyond _MAX_GAPS gaps the oldest is dropped."""
+    gaps = source.gaps
     gap = gaps.get((dt, n_steps))
     if gap is None:
         if len(gaps) >= _MAX_GAPS:
             del gaps[next(iter(gaps))]
-        step = packing.stack(_step_polynomial(generator, dt))
-        gap = gaps[dt, n_steps] = _Gap(packing, step, n_steps)
-    # the padding rows read the zero appended to the state
-    v = np.append(rho.ravel(), 0.0)[packing.slots].reshape(packing.shape + (1,))
-    out = gap.advance(v).ravel()[packing.place]
-    np.conjugate(out, out=out, where=packing.lower)
-    return out.reshape(dim, dim)
+        step = source.packing.stack(_step_polynomial(source, dt))
+        gap = gaps[dt, n_steps] = _Gap(source.packing, step, n_steps)
+    return gap.advance(v)

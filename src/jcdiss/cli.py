@@ -52,7 +52,7 @@ from .hilbert import (
     fock_state,
     single_excitation_state,
 )
-from ._kernels import _MAX_GAPS, packed_entries
+from ._kernels import packed_entries
 from .lindblad import build_liouvillian, build_rate_table, rate_table_columns
 from .observables import (
     OBSERVABLES,
@@ -66,6 +66,7 @@ from .propagate import (
     analytic_microscopic,
     analytic_phenomenological,
     evolve,
+    rk4_gap_count,
     stack_states,
     steady_state,
     trace_distance,
@@ -517,9 +518,9 @@ def _allocations(config, command, spec):
     oracle's stored and closed-form states, and a series run's snapshot
     states, Husimi grid, coherent-state table and stored series; and on
     the RK4 route of a command that propagates, the packed step matrices
-    of its cached gaps (_kernels.packed_entries per gap, for at most
-    _MAX_GAPS gaps of its longest run). Exact in Python ints, whatever
-    the size of n_max."""
+    of the gaps its run with the most caches (_kernels.packed_entries per
+    gap, rk4_gap_count gaps). Exact in Python ints, whatever the size of
+    n_max."""
     state = 16 * spec.dim_total**2
     stack = stack_states(spec.dim_total, STACK_BYTES)
     at = f"at n_max {_digits(spec.n_max)}"
@@ -530,9 +531,13 @@ def _allocations(config, command, spec):
                f"the store of {points} numeric and as many closed-form states {at}",
                2 * config.n_points * state)
     if config.method == "rk4" and command in ("evolve", "husimi", "oracle"):
-        longest = config.n_points if command == "oracle" else max(_run_lengths(config))
-        gaps = min(_MAX_GAPS, longest - 1)
-        yield ("method", f"the step blocks of {gaps} cached RK4 gaps {at}",
+        # a linspace grid has the distinct spans of its first three times
+        head = np.linspace(0.0, config.t_max, min(config.n_points, 3))
+        grids = [head] if command == "oracle" or config.observables else []
+        if command != "oracle" and config.husimi is not None:
+            grids.append(np.asarray(config.husimi["times"], dtype=float))
+        gaps = max(rk4_gap_count(times) for times in grids)
+        yield ("method", f"the step blocks of {gaps} cached RK4 gap{'s' * (gaps != 1)} {at}",
                16 * gaps * packed_entries(spec.n_max))
     if command not in ("evolve", "husimi"):
         return

@@ -17,13 +17,19 @@ they can cross-check each other:
   cavity frequency where the step-size requirement is set by the
   coupling and detuning scales instead of the optical frequency. Each
   step applies the RK4 step polynomial P(h) of every sector k >= 0,
-  built once per distinct output gap of n steps; a gap is one product
-  with P(h)^n from its first call if its steps cost more than that
-  power, and from its second call otherwise (_kernels.rk4_advance).
+  built once per distinct span of the output grid (_spans; one on a
+  uniform grid); a gap of n steps is one product with P(h)^n from its
+  first call if its steps cost more than that power, and from its
+  second call otherwise (_kernels.RK4Source).
 
 Both routes take their sectors from spectral_decomposition, which sums
 the generator's COO triplets (lindblad.superoperator_triplets) into
-dense blocks with numpy; no route needs scipy.
+dense blocks with numpy; no route needs scipy. Both start from the
+state at t = 0. The sector values of rk4, and of the spectral route of
+a generator without a DressedSplit, go through
+SpectralDecomposition.propagate_vec (_sector_stacks), the one place
+that applies their frame phases and assembles lab-frame states from
+them.
 
 Each route is a source of stacks of lab-frame states, and evolve runs
 one loop over the source it picks: guards, then store or observe.
@@ -84,10 +90,9 @@ class EvolutionResult:
 
     states has shape (n_times, dim, dim) when evolve was given no
     observer, and is None otherwise. diagnostics records the trace drift
-    and hermiticity defect maxima of the states as handed out (on rk4,
-    before the correction it steps on from), the largest combined
-    population seen in the top two Fock levels, and rk4's dt and
-    steps_total (dt is None on the spectral route).
+    and hermiticity defect maxima of the states as handed out, the
+    largest combined population seen in the top two Fock levels, and
+    rk4's dt and steps_total (dt is None on the spectral route).
     """
 
     times: np.ndarray
@@ -229,7 +234,7 @@ class SpectralDecomposition:
     is the adjoint of sector k, so its entries are the conjugates of
     their transposes and are not stepped. The spectral route of the
     phenomenological generator exponentiates the blocks, and RK4 steps
-    them (_kernels.rk4_advance) on either generator. The names
+    them (_kernels.RK4Source) on either generator. The names
     SpectralDecomposition, blocks, _decomp, spectral_decomposition and
     propagate_vec stay for jcbench/tracer.py, which times and counts
     these sites.
@@ -392,8 +397,9 @@ def evolve(
 ):
     """Propagate a state through the generator and sample it at times.
 
-    method "spectral" (_dressed_stacks, or _sector_stacks for a generator
-    without a DressedSplit) or "rk4" (_rk4_stacks) makes stacks of
+    method "spectral" (_dressed_stacks, or _sector_stacks on _Steppers
+    for a generator without a DressedSplit) or "rk4" (_sector_stacks on
+    an RK4Source) makes stacks of
     `chunk` states, by default as many as fit in STACK_BYTES. Each stack
     passes the guards of _StackGuards (DriftError beyond DRIFT_TOL,
     TruncationError beyond TRUNCATION_TOL unless truncation_guard is
@@ -410,12 +416,20 @@ def evolve(
         if getattr(liouvillian, "dressed", None) is not None:
             stacks = _dressed_stacks(liouvillian, rho0, times, chunk)
         else:
-            stacks = _sector_stacks(spectral_decomposition(liouvillian), rho0, times, chunk)
+            decomp = spectral_decomposition(liouvillian)
+            v0 = vec(rho0)
+            sources = [
+                _Stepper(matrix, v0[idx], times, decomp.exps.setdefault(k, {}))
+                for idx, k, matrix in decomp.blocks
+            ]
+            stacks = _sector_stacks(decomp, sources, times, chunk)
     elif method == "rk4":
         dt = default_time_step(liouvillian)
         gaps = _rk4_gaps(times, dt)
         stepping = {"dt": dt, "steps_total": sum(n for _, n in gaps)}
-        stacks = _rk4_stacks(liouvillian, rho0, times, gaps, chunk)
+        decomp = spectral_decomposition(liouvillian)
+        sources = [_kernels.RK4Source(decomp, vec(rho0), gaps)]
+        stacks = _sector_stacks(decomp, sources, times, chunk)
     else:
         raise ParameterError(f"unknown method {method!r}")
     guards = _StackGuards(liouvillian.spec, truncation_guard)
@@ -434,16 +448,12 @@ def evolve(
     )
 
 
-def _sector_stacks(decomp, rho0, times, chunk):
-    """(start, t_chunk, stack) from the sectors of the generator."""
-    v0 = vec(rho0)
-    steppers = [
-        _Stepper(matrix, v0[idx], times, decomp.exps.setdefault(k, {}))
-        for idx, k, matrix in decomp.blocks
-    ]
+def _sector_stacks(decomp, sources, times, chunk):
+    """(start, t_chunk, stack) from sources of the values of the sectors
+    of decomp: one _Stepper per sector, or one RK4Source for them all."""
     for start in range(0, times.size, chunk):
         tc = times[start : start + chunk]
-        yield start, tc, decomp.propagate_vec(steppers, tc)
+        yield start, tc, decomp.propagate_vec(sources, tc)
 
 
 def _dressed_stacks(liouvillian, rho0, times, chunk):
@@ -502,49 +512,32 @@ def default_time_step(liouvillian):
     return 0.005 / max(spread + decay, 1e-9)
 
 
+def _spans(times):
+    """The span from the time before to each output time, from t = 0 to
+    the first: on a uniform grid (_grid_step) every later span is its
+    step h, so that the grid has one; else the exact differences."""
+    spans = np.diff(times, prepend=0.0)
+    step = _grid_step(times)
+    if step is not None:
+        spans[1:] = step
+    return spans
+
+
+def rk4_gap_count(times):
+    """The gaps an RK4 run on times caches: its distinct nonzero spans
+    (_spans), at most _kernels._MAX_GAPS."""
+    spans = _spans(times)
+    return min(_kernels._MAX_GAPS, np.unique(spans[spans > 0]).size)
+
+
 def _rk4_gaps(times, dt):
     """(h, n) per output time: n equal RK4 steps of size h no longer than
-    dt land on it from the time before; n = 0 at the first time and at a
-    repeated one."""
-    gaps = [(0.0, 0)]
-    for span in np.diff(times):
+    dt cross its span (_spans); n = 0 at t = 0 and at a repeated time."""
+    gaps = []
+    for span in _spans(times):
         n = max(1, math.ceil(span / dt - 1e-12)) if span > 0 else 0
         gaps.append((span / n if n else 0.0, n))
     return gaps
-
-
-def _rk4_stacks(liouvillian, rho0, times, gaps, chunk):
-    """(start, t_chunk, stack) from fixed-step RK4 in the rotating frame,
-    on the sectors of spectral_decomposition.
-
-    Each output time is reached by its gap of _rk4_gaps. Each state is
-    handed out as stepped, turned back to the lab frame; the stepping
-    goes on from its Hermitized, renormalized copy, so the guards see the
-    raw drift of one gap and it does not build up over the run.
-    rk4_advance keeps its gaps on the generator it is given; a fresh one
-    on the same blocks keeps them for this run only, so every run steps
-    alike.
-    """
-    decomp = spectral_decomposition(liouvillian)
-    generator = SpectralDecomposition(decomp.dim, decomp.omega, decomp.blocks)
-    omega = float(liouvillian.params.omega)
-    exc = liouvillian.spec.excitations()
-    dim = liouvillian.dim
-    ph0 = np.exp(-1j * omega * times[0] * exc)
-    rho = (ph0.conj()[:, None] * rho0) * ph0[None, :]
-    for start in range(0, times.size, chunk):
-        tc = times[start : start + chunk]
-        stack = np.empty((tc.size, dim, dim), complex)
-        for k, (h, n) in enumerate(gaps[start : start + tc.size]):
-            if n:
-                rho = _kernels.rk4_advance(generator, rho, h, n)
-            stack[k] = rho
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= np.trace(rho).real
-        ph = np.exp((-1j * omega * tc)[:, None] * exc)
-        stack *= ph[:, :, None]
-        stack *= ph.conj()[:, None, :]
-        yield start, tc, stack
 
 
 def steady_state(liouvillian):

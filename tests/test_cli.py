@@ -862,14 +862,17 @@ def test_memory_check_admits_a_run_whose_stack_just_fits(tmp_path, capsys, monke
      "bytes"),
     ("evolve", {"n_points": 600_000_000}, 8 << 30,
      "n_points: the store of 2 series of 600000000 times takes 9600000000 bytes"),
-    # 16 packed blocks of 120 x 120 at n_max 29, 16 bytes an entry per cached gap
-    ("evolve", {"method": "rk4", "n_max": 29, "n_points": 1601}, 100_000_000,
-     "method: the step blocks of 64 cached RK4 gaps at n_max 29 takes 235929600 bytes"),
+    # 16 packed blocks of 120 x 120 at n_max 29, 16 bytes an entry per cached
+    # gap, one per distinct span of a grid (a uniform one has one); one
+    # stack of 32 states at n_max 29 takes 1843200 bytes, the oracle's store
+    # of 11 and 11 states 1267200
+    ("evolve", {"method": "rk4", "n_max": 29, "n_points": 1601}, 3_000_000,
+     "method: the step blocks of 1 cached RK4 gap at n_max 29 takes 3686400 bytes"),
     ("husimi", {"method": "rk4", "n_max": 29, "husimi": {"times": [0.0, 1.0, 2.0]}},
-     4_000_000,
-     "method: the step blocks of 2 cached RK4 gaps at n_max 29 takes 7372800 bytes"),
-    ("oracle", {"method": "rk4", "n_max": 29, "n_points": 101}, 100_000_000,
-     "method: the step blocks of 64 cached RK4 gaps at n_max 29 takes 235929600 bytes"),
+     3_000_000,
+     "method: the step blocks of 1 cached RK4 gap at n_max 29 takes 3686400 bytes"),
+    ("oracle", {"method": "rk4", "n_max": 29}, 3_000_000,
+     "method: the step blocks of 1 cached RK4 gap at n_max 29 takes 3686400 bytes"),
 ], ids=["oracle-states", "husimi-grid", "husimi-table", "snapshots", "series",
         "rk4-series-gaps", "rk4-snapshot-gaps", "rk4-oracle-gaps"])
 def test_run_whose_largest_array_exceeds_available_memory_exits_2(
@@ -896,12 +899,21 @@ def test_memory_check_prices_the_rk4_step_blocks_of_the_real_sectors():
     spec = SpaceSpec(8)
     liouvillian = build_liouvillian("phenomenological", SystemParams(100.0, 100.0), spec)
     decomp = jcdiss.propagate.spectral_decomposition(liouvillian)
-    step = _kernels._packing(decomp).stack(_kernels._step_polynomial(decomp, 1e-3))
-    for method, want in (("spectral", []), ("rk4", [10 * step.nbytes])):
+    sizes = [idx.size for idx, _, _ in decomp.blocks]
+    step = _kernels._Packing(sizes).stack(_kernels._step_polynomial(decomp, 1e-3))
+    for method, want in (("spectral", []), ("rk4", [step.nbytes])):
         config = cli.parse_config({**raw, "method": method})
         got = [needed for field, _, needed in cli._allocations(config, "evolve", spec)
                if field == "method"]
         assert got == want, method
+
+
+def test_memory_check_admits_an_rk4_run_that_caches_one_gap(tmp_path, monkeypatch):
+    # 101 times on a linspace grid cache one gap of 103680 bytes at n_max 8,
+    # not 64 of them (6635520 bytes)
+    path = _write_config(tmp_path, _tiny_raw(n_points=101, method="rk4"))
+    monkeypatch.setattr(cli, "_available_memory", lambda: 4_000_000)
+    assert cli.main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_memory_check_is_skipped_without_a_reading(monkeypatch):
@@ -942,7 +954,7 @@ def test_main_reports_physics_guard(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method, source", [
-    ("spectral", "_dressed_stacks"), ("rk4", "_rk4_stacks"),
+    ("spectral", "_dressed_stacks"), ("rk4", "_sector_stacks"),
 ])
 def test_main_reports_a_nonfinite_state_as_a_drift_error(
     tmp_path, capsys, monkeypatch, method, source

@@ -38,6 +38,7 @@ from jcdiss.propagate import (
     analytic_phenomenological,
     default_time_step,
     evolve,
+    rk4_gap_count,
     spectral_decomposition,
     steady_state,
     trace_distance,
@@ -185,32 +186,46 @@ def test_packed_entries_counts_the_packed_sectors(kind):
     for n_max in range(1, 10):
         liouvillian = build_liouvillian(kind, _params(nbar=0.1), SpaceSpec(n_max))
         decomp = spectral_decomposition(liouvillian)
-        assert [idx.size for idx, _, _ in decomp.blocks] == (
+        sizes = [idx.size for idx, _, _ in decomp.blocks]
+        assert sizes == (
             [4 * n_max + 2] + [4 * (n_max + 1 - k) for k in range(1, n_max + 1)] + [1]
         )
-        blocks, side = _kernels._packing(decomp).shape
+        blocks, side = _kernels._Packing(sizes).shape
         assert blocks * side * side == _kernels.packed_entries(n_max)
 
 
-def test_uneven_time_list_matches_expm_multiply():
+@pytest.mark.parametrize("method", ["spectral", "rk4"])
+def test_uneven_time_list_matches_expm_multiply(method):
     # no uniform step fits these times, so both models step from one
-    # output time to the next with one expm per distinct gap
+    # output time to the next with one expm, or one RK4 gap, per distinct
+    # span; every route starts from the initial state at t = 0, also on
+    # the grid whose first time is later. The bound is 1e-12 on both
+    # routes; the worst measured is 8.7e-15 on spectral, 2.9e-13 on rk4
     spec = SpaceSpec(8)
-    times = np.array([0.0, 0.3, 0.31, 2.0, 7.5])
-    assert _grid_step(times) is None
     psi0 = coherent_state(0.5, QUBIT_E, spec)
     exc = spec.excitations()
-    for kind in ("microscopic", "phenomenological"):
-        liouvillian = build_liouvillian(kind, _params(delta=1.0, nbar=0.1), spec)
-        result = evolve(liouvillian, psi0, times, truncation_guard=False)
-        generator = rotating_generator(liouvillian)
-        v, t_prev = vec(density_matrix(psi0)), 0.0
-        for t, rho in zip(times, result.states):
-            v = expm_multiply(generator * (t - t_prev), v)
-            t_prev = t
-            phase = np.exp(-1j * 100.0 * t * exc)
-            want = phase[:, None] * unvec(v, spec.dim_total) * phase.conj()[None, :]
-            assert np.abs(rho - want).max() <= 1e-12
+    for times in (np.array([0.0, 0.3, 0.31, 2.0, 7.5]), np.array([0.2, 0.3, 0.31, 2.0, 7.5])):
+        assert _grid_step(times) is None
+        for kind in ("microscopic", "phenomenological"):
+            liouvillian = build_liouvillian(kind, _params(delta=1.0, nbar=0.1), spec)
+            result = evolve(liouvillian, psi0, times, method=method, truncation_guard=False)
+            generator = rotating_generator(liouvillian)
+            v, t_prev = vec(density_matrix(psi0)), 0.0
+            for t, rho in zip(times, result.states):
+                v = expm_multiply(generator * (t - t_prev), v)
+                t_prev = t
+                phase = np.exp(-1j * 100.0 * t * exc)
+                want = phase[:, None] * unvec(v, spec.dim_total) * phase.conj()[None, :]
+                assert np.abs(rho - want).max() <= 1e-12, (times[0], kind)
+
+
+def test_rk4_caches_one_gap_per_distinct_span():
+    # the first span runs from t = 0; a uniform grid has one span after it
+    assert rk4_gap_count(np.linspace(0.0, 6.0, 601)) == 1
+    assert rk4_gap_count(np.linspace(0.5, 6.0, 601)) == 2
+    assert rk4_gap_count(np.array([0.0, 1.0, 3.0, 3.0])) == 2
+    assert rk4_gap_count(np.array([0.0, 0.0])) == 0
+    assert rk4_gap_count(np.logspace(-2.0, 1.0, 100)) == _kernels._MAX_GAPS
 
 
 def _observed(liouvillian, psi0, times, chunk, **kwargs):
@@ -270,7 +285,7 @@ def test_truncation_error_names_the_first_time_whatever_the_chunk(method):
     assert f"t={times[first]:.6g};" in messages.pop()
 
 
-_SOURCES = {"spectral": "_dressed_stacks", "rk4": "_rk4_stacks"}
+_SOURCES = {"spectral": "_dressed_stacks", "rk4": "_sector_stacks"}
 
 
 def _replay(monkeypatch, method, stack):
